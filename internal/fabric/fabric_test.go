@@ -167,6 +167,13 @@ func TestShardedSweepByteIdentity(t *testing.T) {
 	if got := c.Metrics().Get(mJobsCacheHits); got != 1 {
 		t.Fatalf("jobs.cache_hits = %d, want 1", got)
 	}
+	// The coordinator's plain GET writes through the server's envelope
+	// writer: the merged bytes ride verbatim.
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/v1/jobs/"+v2.ID, nil))
+	if !bytes.Contains(rec.Body.Bytes(), append([]byte(`"result": `), want...)) {
+		t.Errorf("coordinator GET does not carry the merged bytes verbatim:\n%s", rec.Body.Bytes())
+	}
 }
 
 // TestAssignFaultRetry pins deterministic lease-loss recovery: an armed
@@ -488,10 +495,12 @@ func TestQuotaAdmission(t *testing.T) {
 	}
 
 	// The gold tenant's override admits two.
+	var goldIDs []string
 	for i, n := range []int{3, 4} {
-		if status, _ = httpSubmit(t, ts.URL, "gold", "fab-quota", server.JobParams{N: n}); status != http.StatusAccepted {
+		if status, env = httpSubmit(t, ts.URL, "gold", "fab-quota", server.JobParams{N: n}); status != http.StatusAccepted {
 			t.Fatalf("gold submit %d: status %d, want 202", i, status)
 		}
+		goldIDs = append(goldIDs, env.Job.ID)
 	}
 	if status, _ = httpSubmit(t, ts.URL, "gold", "fab-quota", server.JobParams{N: 5}); status != http.StatusTooManyRequests {
 		t.Fatalf("gold over-quota submit: status %d, want 429", status)
@@ -510,6 +519,12 @@ func TestQuotaAdmission(t *testing.T) {
 	status, env = httpSubmit(t, ts.URL, "t1", "fab-quota", server.JobParams{N: 1})
 	if status != http.StatusOK || env.Job == nil || !env.Job.Cached {
 		t.Fatalf("post-drain resubmit: status %d cached=%v, want 200 from cache", status, env.Job != nil && env.Job.Cached)
+	}
+	// Let the gold jobs drain while the worker is still up: the deferred
+	// stop runs before the deferred Shutdown, whose drain would otherwise
+	// wait on points no worker is left to run.
+	for _, id := range goldIDs {
+		awaitDone(t, c, id)
 	}
 }
 

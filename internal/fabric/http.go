@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -56,7 +55,7 @@ func checkVersion(w http.ResponseWriter, r *http.Request) bool {
 	case "", server.APIVersion:
 		return true
 	default:
-		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest,
+		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest,
 			fmt.Sprintf("coordinator serves only %s %s (got %q)", server.VersionHeader, server.APIVersion, v))
 		return false
 	}
@@ -66,7 +65,7 @@ func (c *Coordinator) handleExperiments(w http.ResponseWriter, r *http.Request) 
 	if !checkVersion(w, r) {
 		return
 	}
-	writeEnvelope(w, http.StatusOK, server.Envelope{Experiments: c.infos})
+	server.WriteEnvelope(w, http.StatusOK, server.Envelope{Experiments: c.infos})
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -80,25 +79,25 @@ func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	v, err := c.Submit(r.Header.Get(TenantHeader), req.Experiment, req.Params)
 	switch {
 	case errors.Is(err, ErrUnknownExperiment):
-		writeEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, err.Error())
+		server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, err.Error())
 	case errors.Is(err, ErrQuotaExceeded):
 		w.Header().Set("Retry-After", retryAfterSeconds)
-		writeEnvelopeError(w, http.StatusTooManyRequests, server.CodeQuotaExceeded, err.Error())
+		server.WriteEnvelopeError(w, http.StatusTooManyRequests, server.CodeQuotaExceeded, err.Error())
 	case errors.Is(err, ErrShuttingDown):
 		w.Header().Set("Retry-After", retryAfterSeconds)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, server.CodeShuttingDown, err.Error())
+		server.WriteEnvelopeError(w, http.StatusServiceUnavailable, server.CodeShuttingDown, err.Error())
 	case err != nil:
-		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 	case v.State == server.StateDone:
-		writeEnvelope(w, http.StatusOK, jobEnvelope(v))
+		server.WriteEnvelope(w, http.StatusOK, server.JobEnvelope(v))
 	default:
-		writeEnvelope(w, http.StatusAccepted, jobEnvelope(v))
+		server.WriteEnvelope(w, http.StatusAccepted, server.JobEnvelope(v))
 	}
 }
 
@@ -106,7 +105,7 @@ func (c *Coordinator) handleJobs(w http.ResponseWriter, r *http.Request) {
 	if !checkVersion(w, r) {
 		return
 	}
-	writeEnvelope(w, http.StatusOK, server.Envelope{Jobs: c.Jobs()})
+	server.WriteEnvelope(w, http.StatusOK, server.Envelope{Jobs: c.Jobs()})
 }
 
 func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
@@ -118,78 +117,51 @@ func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
 	if raw := r.URL.Query().Get("wait"); raw != "" {
 		d, err := time.ParseDuration(raw)
 		if err != nil || d < 0 {
-			writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad wait duration %q", raw))
+			server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad wait duration %q", raw))
 			return
 		}
 		wait = d
 	}
-	if wantsNDJSON(r) {
+	if server.WantsNDJSON(r) {
 		c.streamJob(w, r, id, wait)
 		return
 	}
 	v, ok := c.Await(id, wait, r.Context().Done())
 	if !ok {
-		writeEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, fmt.Sprintf("unknown job %q", id))
+		server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	env := jobEnvelope(v)
+	env := server.JobEnvelope(v)
 	if env.Error == nil && v.State != server.StateDone && r.Context().Err() != nil {
 		env.Error = &server.APIError{Code: server.CodeCancelled,
 			Message: fmt.Sprintf("request cancelled while waiting for job %q", id)}
 	}
-	writeEnvelope(w, http.StatusOK, env)
+	server.WriteEnvelope(w, http.StatusOK, env)
 }
 
 // streamJob is the coordinator's ndjson long-poll: keep-alive frames
 // carrying live points_done/points_total while the fleet chews through
 // the sweep, then the final merged envelope — the "partial results
-// stream before the sweep completes" half of the fabric contract.
+// stream before the sweep completes" half of the fabric contract. The
+// frame loop is the server's own (server.JobStream).
 func (c *Coordinator) streamJob(w http.ResponseWriter, r *http.Request, id string, wait time.Duration) {
 	c.mu.Lock()
 	j, ok := c.jobs[id]
 	c.mu.Unlock()
 	if !ok {
-		writeEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, fmt.Sprintf("unknown job %q", id))
+		server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, fmt.Sprintf("unknown job %q", id))
 		return
 	}
-	w.Header().Set("Content-Type", server.NDJSONContentType)
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	deadline := time.NewTimer(wait)
-	defer deadline.Stop()
-	tick := time.NewTicker(c.cfg.ProgressInterval)
-	defer tick.Stop()
-	for {
-		select {
-		case <-j.done:
-		case <-deadline.C:
-		case <-r.Context().Done():
-		case <-tick.C:
+	server.JobStream{
+		Done: j.done,
+		View: func(withResult bool) server.JobView {
 			c.mu.Lock()
-			frame := server.Envelope{}
-			view := j.view(false)
-			frame.Job = &view
-			c.mu.Unlock()
-			frame.Progress = j.progress()
-			if writeFrame(w, flusher, frame) != nil {
-				return
-			}
-			continue
-		}
-		break
-	}
-	v, _ := c.Job(id)
-	env := jobEnvelope(v)
-	if env.Error == nil && v.State != server.StateDone {
-		if r.Context().Err() != nil {
-			env.Error = &server.APIError{Code: server.CodeCancelled,
-				Message: fmt.Sprintf("request cancelled while waiting for job %q", id)}
-		} else {
-			env.Progress = j.progress()
-		}
-	}
-	writeFrame(w, flusher, env)
+			defer c.mu.Unlock()
+			return j.view(withResult)
+		},
+		Progress: j.progress,
+		Interval: c.cfg.ProgressInterval,
+	}.Serve(w, r, id, wait)
 }
 
 // handleRepro serves the repro bundle of a terminal-failed job as a
@@ -211,7 +183,7 @@ func (c *Coordinator) handleRepro(w http.ResponseWriter, r *http.Request) {
 				status = http.StatusNotFound
 			}
 		}
-		writeEnvelopeError(w, status, code, err.Error())
+		server.WriteEnvelopeError(w, status, code, err.Error())
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -242,21 +214,21 @@ func (c *Coordinator) handleWorkerRegister(w http.ResponseWriter, r *http.Reques
 	}
 	var req workerRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if err := c.Register(req.Name, req.URL); err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
+		server.WriteEnvelopeError(w, http.StatusBadRequest, server.CodeBadRequest, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, workersResponse{Version: server.APIVersion, Epoch: c.epoch, Workers: c.Workers()})
+	server.WriteJSON(w, http.StatusOK, workersResponse{Version: server.APIVersion, Epoch: c.epoch, Workers: c.Workers()})
 }
 
 func (c *Coordinator) handleWorkerList(w http.ResponseWriter, r *http.Request) {
 	if !checkVersion(w, r) {
 		return
 	}
-	writeJSON(w, http.StatusOK, workersResponse{Version: server.APIVersion, Epoch: c.epoch, Workers: c.Workers()})
+	server.WriteJSON(w, http.StatusOK, workersResponse{Version: server.APIVersion, Epoch: c.epoch, Workers: c.Workers()})
 }
 
 // handleCacheProbe answers the shared result-index protocol: raw cached
@@ -267,7 +239,7 @@ func (c *Coordinator) handleCacheProbe(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	val, ok := c.cache.Get(key)
 	if !ok {
-		writeEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, fmt.Sprintf("no cached result for %q", key))
+		server.WriteEnvelopeError(w, http.StatusNotFound, server.CodeNotFound, fmt.Sprintf("no cached result for %q", key))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -299,65 +271,4 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(code)
 	fmt.Fprintln(w, status)
-}
-
-// wantsNDJSON mirrors the server's streaming opt-in.
-func wantsNDJSON(r *http.Request) bool {
-	return r.Header.Get("Accept") != "" &&
-		bytes.Contains([]byte(r.Header.Get("Accept")), []byte(server.NDJSONContentType))
-}
-
-// jobEnvelope mirrors the server's rendering: result hoisted beside the
-// job, failures carrying their typed error.
-func jobEnvelope(v server.JobView) server.Envelope {
-	env := server.Envelope{Result: v.Result}
-	v.Result = nil
-	env.Job = &v
-	if v.State == server.StateFailed {
-		code := v.ErrorCode
-		if code == "" {
-			code = server.CodeExperimentFailed
-		}
-		env.Error = &server.APIError{Code: code, Message: v.Error}
-	}
-	return env
-}
-
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func writeEnvelope(w http.ResponseWriter, status int, env server.Envelope) {
-	env.Version = server.APIVersion
-	writeJSON(w, status, env)
-}
-
-func writeEnvelopeError(w http.ResponseWriter, status int, code, message string) {
-	writeEnvelope(w, status, server.Envelope{Error: &server.APIError{Code: code, Message: message}})
-}
-
-// writeFrame writes one envelope as a single compacted ndjson line and
-// flushes it.
-func writeFrame(w http.ResponseWriter, flusher http.Flusher, env server.Envelope) error {
-	env.Version = server.APIVersion
-	raw, err := json.Marshal(env)
-	if err != nil {
-		return err
-	}
-	var line bytes.Buffer
-	if err := json.Compact(&line, raw); err != nil {
-		return err
-	}
-	line.WriteByte('\n')
-	if _, err := w.Write(line.Bytes()); err != nil {
-		return err
-	}
-	if flusher != nil {
-		flusher.Flush()
-	}
-	return nil
 }

@@ -121,6 +121,8 @@ func codeOf(err error) string {
 		return server.CodeCancelled
 	case errors.Is(err, context.DeadlineExceeded):
 		return server.CodeTimeout
+	case errors.Is(err, server.ErrInvalidResult):
+		return server.CodeInvalidResult
 	default:
 		return server.CodeExperimentFailed
 	}
@@ -172,9 +174,14 @@ func (c *Coordinator) Submit(tenant, experiment string, p server.JobParams) (ser
 	c.order = append(c.order, j)
 
 	if val, ok := c.cache.Get(key); ok {
+		// Cache bytes are spliced into responses verbatim: check them
+		// once, here, outside the lock (server.ValidResult).
 		j.cached = true
-		c.finishLocked(j, val, nil)
 		c.metrics.Inc(mJobsCacheHits)
+		c.mu.Unlock()
+		verr := server.ValidResult(val)
+		c.mu.Lock()
+		c.finishLocked(j, val, verr)
 		return j.view(true), nil
 	}
 	// Journal the acceptance before the run starts: a job either never
@@ -758,10 +765,11 @@ func (c *Coordinator) doEnvelope(method, url string, body []byte) (server.Envelo
 }
 
 // normalizeResult re-renders relayed result bytes in the canonical
-// cache format (two-space indent, trailing newline). A result embedded
-// in a response envelope was re-indented relative to its position in
-// that envelope; normalizing restores the exact bytes RenderJSON
-// produces, preserving the byte-identity and shared-cache contracts.
+// cache format (two-space indent, trailing newline). A current worker
+// relays its stored bytes verbatim, but one built before that
+// re-indented the result relative to its position in the envelope;
+// normalizing restores the exact bytes RenderJSON produces either way,
+// preserving the byte-identity and shared-cache contracts.
 func normalizeResult(raw json.RawMessage) ([]byte, error) {
 	if len(raw) == 0 {
 		return nil, errors.New("forwarded job finished without result bytes")

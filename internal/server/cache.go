@@ -19,10 +19,14 @@ import (
 )
 
 // Cache is the content-addressed result store: rendered experiment
-// results keyed by the canonical hashes of key.go. It always holds an
-// in-memory map; with a directory it additionally persists every entry
-// to disk (dir/<key[:2]>/<key>), so separate processes — the serving
-// daemon and cascade-sim -cache runs — share memoized results.
+// results keyed by the canonical hashes of key.go. Without a directory
+// it is an in-memory map. With one, every entry persists to disk
+// (dir/<key[:2]>/<key>), so separate processes — the serving daemon and
+// cascade-sim -cache runs — share memoized results, and memory holds
+// only what has been read: Put writes through to disk, and an entry
+// enters memory on its first Get (or on a Put whose disk write failed,
+// when memory is the only copy left). A daemon that computes many
+// results nobody asks for again therefore does not grow with them.
 //
 // Values are immutable once stored: a key is derived from everything
 // that determines the result bytes, so two writers racing on one key
@@ -205,7 +209,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	}
 	if c.dir != "" {
 		if v, ok := c.diskGet(key); ok {
-			sh.mem[key] = v
+			c.remember(sh, key, v)
 			c.inc("cache.hits")
 			c.inc("cache.disk_hits")
 			return v, true
@@ -287,33 +291,43 @@ func (c *Cache) PurgeQuarantine(ttl time.Duration) int {
 	return purged
 }
 
-// Put stores val under key in memory and, when the cache has a
-// directory, on disk (checksummed, written to a temp file and renamed,
-// so readers never observe a partial entry). A disk write failure is
-// returned — and counted in cache.write_errors — but the entry is
-// still readable from memory: callers that already hold a computed
-// result should degrade (serve it) rather than fail.
+// Put stores val under key: in memory for a memory-only cache, and
+// otherwise on disk only (checksummed, written to a temp file and
+// renamed, so readers never observe a partial entry) — the entry enters
+// memory when it is first read. A disk write failure is returned — and
+// counted in cache.write_errors — but the entry is then kept in memory,
+// still readable: callers that already hold a computed result should
+// degrade (serve it) rather than fail.
 func (c *Cache) Put(key string, val []byte) error {
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.mem[key]; !ok {
-		sh.mem[key] = val
-		if c.m != nil {
-			c.m.Inc("cache.entries")
-			c.m.Add("cache.bytes", int64(len(val)))
-		}
-	}
 	if c.dir == "" {
+		c.remember(sh, key, val)
 		return nil
 	}
 	if err := c.diskPut(key, val); err != nil {
 		c.inc("cache.write_errors")
 		c.diskOK.Store(false)
+		c.remember(sh, key, val)
 		return err
 	}
 	c.diskOK.Store(true)
 	return nil
+}
+
+// remember keeps val as key's memory copy unless one exists (values are
+// immutable, so the first copy is as good as any). cache.entries and
+// cache.bytes count what memory holds. Callers must hold sh's lock.
+func (c *Cache) remember(sh *cacheShard, key string, val []byte) {
+	if _, ok := sh.mem[key]; ok {
+		return
+	}
+	sh.mem[key] = val
+	if c.m != nil {
+		c.m.Inc("cache.entries")
+		c.m.Add("cache.bytes", int64(len(val)))
+	}
 }
 
 // diskPut writes one checksummed entry. Callers must hold the key's

@@ -2,7 +2,11 @@ package server
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,4 +156,62 @@ func BenchmarkSubmitCacheHit(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkHTTPCacheHit measures a served hit end to end: POST /v1/jobs
+// answered from the cache, then GET ?wait, through a real HTTP stack —
+// the round trip the serve-hot benchmark workload repeats. table1 is a
+// small result; fig6 at scale 0.01 is a ~200 KB one.
+func BenchmarkHTTPCacheHit(b *testing.B) {
+	s, err := New(Config{Workers: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	for _, tc := range []struct {
+		name, body string
+	}{
+		{"table1", `{"experiment": "table1"}`},
+		{"fig6", `{"experiment": "fig6", "params": {"scale": 0.01}}`},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			id := benchRoundTrip(b, ts.URL, tc.body) // fills the cache
+			if v, _ := s.Await(id, 0, nil); v.State != StateDone {
+				b.Fatalf("fill job %s: %s", v.State, v.Error)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchRoundTrip(b, ts.URL, tc.body)
+			}
+		})
+	}
+}
+
+// benchRoundTrip submits body and long-polls the job, returning its ID.
+func benchRoundTrip(b *testing.B, base, body string) string {
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var env Envelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || env.Job == nil {
+		b.Fatalf("submit: %v %+v", err, env.Error)
+	}
+	resp, err = http.Get(fmt.Sprintf("%s/v1/jobs/%s?wait=10m", base, env.Job.ID))
+	if err != nil {
+		b.Fatal(err)
+	}
+	var done Envelope
+	err = json.NewDecoder(resp.Body).Decode(&done)
+	resp.Body.Close()
+	if err != nil || done.Job == nil || done.Job.State != StateDone || len(done.Result) == 0 {
+		b.Fatalf("wait: %v %+v", err, done.Error)
+	}
+	return env.Job.ID
 }

@@ -286,7 +286,9 @@ func NewCacheMust(t *testing.T, dir string, m *metrics.Synced) *Cache {
 }
 
 // TestCachePutIdempotent pins that re-storing a key (two processes
-// finishing the same point) neither errors nor double-counts.
+// finishing the same point) neither errors nor double-counts. On a
+// disk-backed cache the puts leave memory empty (cache.entries and
+// cache.bytes count memory); the first read promotes the entry, once.
 func TestCachePutIdempotent(t *testing.T) {
 	m := metrics.NewSynced()
 	c, err := NewCache(t.TempDir(), m)
@@ -298,8 +300,16 @@ func TestCachePutIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if m.Value("cache.entries") != 0 || m.Value("cache.bytes") != 0 {
+		t.Errorf("after puts: entries/bytes = %d/%d, want 0/0", m.Value("cache.entries"), m.Value("cache.bytes"))
+	}
+	for i := 0; i < 2; i++ {
+		if v, ok := c.Get("kk"); !ok || string(v) != "vv" {
+			t.Fatalf("Get = %q, %v", v, ok)
+		}
+	}
 	if m.Value("cache.entries") != 1 || m.Value("cache.bytes") != 2 {
-		t.Errorf("entries/bytes = %d/%d, want 1/2", m.Value("cache.entries"), m.Value("cache.bytes"))
+		t.Errorf("after reads: entries/bytes = %d/%d, want 1/2", m.Value("cache.entries"), m.Value("cache.bytes"))
 	}
 }
 

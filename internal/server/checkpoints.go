@@ -96,9 +96,7 @@ type checkpointCreateRequest struct {
 // checkpointJob looks up the job a checkpoint route names and validates
 // it is checkpointable, returning a typed error otherwise.
 func (s *Server) checkpointJob(id string) (*job, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return nil, &codedError{code: CodeNotFound, err: fmt.Errorf("unknown job %q", id)}
 	}
@@ -134,18 +132,18 @@ func (s *Server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if req.EveryIters < 0 {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("every_iters %d (want >= 0)", req.EveryIters))
 		return
 	}
 
 	jobKey, err := JobKey(j.experiment, j.params)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	ckKey := CheckpointKey(jobKey, req.EveryIters)
@@ -155,7 +153,7 @@ func (s *Server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 		s.ckByJob[j.id] = cs
 		s.ckMu.Unlock()
 		s.metrics.Inc(mCkptReused)
-		writeEnvelope(w, http.StatusOK, Envelope{Checkpoints: cs.view(true)})
+		WriteEnvelope(w, http.StatusOK, Envelope{Checkpoints: cs.view(true)})
 		return
 	}
 	s.ckMu.Unlock()
@@ -165,7 +163,7 @@ func (s *Server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 	run, err := experiments.QuickstartCheckpoints(s.runCtx,
 		experiments.QuickstartScaledN(rc.Scale), rc.ChunkBytes, req.EveryIters)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusInternalServerError, errorCode(err), err.Error())
+		WriteEnvelopeError(w, http.StatusInternalServerError, errorCode(err), err.Error())
 		return
 	}
 	cs := &checkpointStream{key: ckKey, jobID: j.id, experiment: j.experiment, every: req.EveryIters, run: run}
@@ -179,7 +177,7 @@ func (s *Server) handleCheckpointCreate(w http.ResponseWriter, r *http.Request) 
 	s.ckByJob[j.id] = cs
 	s.ckMu.Unlock()
 	s.metrics.Inc(mCkptCaptured)
-	writeEnvelope(w, http.StatusCreated, Envelope{Checkpoints: cs.view(false)})
+	WriteEnvelope(w, http.StatusCreated, Envelope{Checkpoints: cs.view(false)})
 }
 
 // handleCheckpointList returns the stream attached to a job.
@@ -191,11 +189,11 @@ func (s *Server) handleCheckpointList(w http.ResponseWriter, r *http.Request) {
 	}
 	cs := s.streamFor(j.id)
 	if cs == nil {
-		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound,
+		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("job %q has no checkpoint stream (POST .../checkpoints first)", j.id))
 		return
 	}
-	writeEnvelope(w, http.StatusOK, Envelope{Checkpoints: cs.view(false)})
+	WriteEnvelope(w, http.StatusOK, Envelope{Checkpoints: cs.view(false)})
 }
 
 // handleCheckpointGet renders one checkpoint of a job's stream for
@@ -209,23 +207,23 @@ func (s *Server) handleCheckpointGet(w http.ResponseWriter, r *http.Request) {
 	}
 	k, err := strconv.Atoi(r.PathValue("k"))
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("bad checkpoint index %q", r.PathValue("k")))
 		return
 	}
 	cs := s.streamFor(j.id)
 	if cs == nil {
-		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound,
+		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("job %q has no checkpoint stream", j.id))
 		return
 	}
 	if k < 0 || k >= len(cs.run.Checkpoints) {
-		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound,
+		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("no checkpoint %d (stream has %d)", k, len(cs.run.Checkpoints)))
 		return
 	}
 	ck := cs.run.Checkpoints[k]
-	writeEnvelope(w, http.StatusOK, Envelope{Checkpoint: &CheckpointView{
+	WriteEnvelope(w, http.StatusOK, Envelope{Checkpoint: &CheckpointView{
 		Key:       cs.key,
 		Index:     k,
 		Iter:      ck.Iter,
@@ -259,11 +257,14 @@ func (s *Server) SubmitResume(ref CheckpointRef) (JobView, error) {
 		s.mu.Unlock()
 		return JobView{}, ErrShuttingDown
 	}
+	parent, ok := s.jobs[ref.Job]
+	if !ok { // aged out of the table since streamFor found its stream
+		s.mu.Unlock()
+		return JobView{}, &codedError{code: CodeNotFound, err: fmt.Errorf("unknown job %q", ref.Job)}
+	}
 	s.metrics.Inc(mJobsSubmitted)
-	parent := s.jobs[ref.Job]
 	refCopy := ref
 	j := &job{
-		id:         fmt.Sprintf("j%d", s.nextID),
 		experiment: cs.experiment,
 		params:     parent.params,
 		key:        key,
@@ -272,13 +273,9 @@ func (s *Server) SubmitResume(ref CheckpointRef) (JobView, error) {
 		created:    time.Now(),
 		done:       make(chan struct{}),
 	}
-	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	s.admitLocked(j)
 	if val, ok := s.cache.Get(key); ok {
-		j.cached = true
-		s.finishLocked(j, val, nil)
-		s.metrics.Inc(mJobsCacheHits)
+		s.finishHitLocked(j, val)
 		v := j.view(true)
 		s.mu.Unlock()
 		return v, nil
@@ -323,5 +320,5 @@ func writeCodedError(w http.ResponseWriter, err error) {
 	case CodeQueueFull, CodeShuttingDown:
 		status = http.StatusServiceUnavailable
 	}
-	writeEnvelopeError(w, status, code, err.Error())
+	WriteEnvelopeError(w, status, code, err.Error())
 }

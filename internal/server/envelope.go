@@ -1,11 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"strconv"
 
 	"repro/internal/experiments"
 )
@@ -35,6 +38,9 @@ const (
 	CodeTimeout          = "timeout"
 	CodePanic            = "panic"
 	CodeExperimentFailed = "experiment_failed"
+	// CodeInvalidResult fails a job whose result bytes are not valid
+	// JSON (see ValidResult).
+	CodeInvalidResult = "invalid_result"
 	// CodeQuotaExceeded rejects a submission whose tenant is over its
 	// admission quota (fabric coordinators only; a single server never
 	// emits it).
@@ -101,20 +107,77 @@ func requestVersion(r *http.Request) (string, error) {
 	}
 }
 
-// writeEnvelope stamps the version and writes the envelope.
-func writeEnvelope(w http.ResponseWriter, status int, env Envelope) {
+// WriteJSON writes v as one indented JSON document.
+func WriteJSON(w http.ResponseWriter, status int, v interface{}) {
+	writeBody(w, status, v, nil)
+}
+
+// WriteEnvelope stamps the version and writes the envelope. A result
+// rides as the stored bytes themselves (see writeBody), so a cache hit
+// costs its lookup plus one write, whatever its size.
+func WriteEnvelope(w http.ResponseWriter, status int, env Envelope) {
 	env.Version = APIVersion
-	writeJSON(w, status, env)
+	result := env.Result
+	env.Result = nil
+	writeBody(w, status, env, result)
 }
 
-// writeEnvelopeError writes a bare typed error in an envelope.
-func writeEnvelopeError(w http.ResponseWriter, status int, code, message string) {
-	writeEnvelope(w, status, Envelope{Error: &APIError{Code: code, Message: message}})
+// WriteEnvelopeError writes a bare typed error in an envelope.
+func WriteEnvelopeError(w http.ResponseWriter, status int, code, message string) {
+	WriteEnvelope(w, status, Envelope{Error: &APIError{Code: code, Message: message}})
 }
 
-// jobEnvelope renders a job in the current format: the result is hoisted
+// writeBody writes v, which must encode to a JSON object without a
+// "result" field, as indented JSON. A non-empty result is appended
+// verbatim as the object's last field: it is never decoded, compacted or
+// re-indented, so a response's "result" is byte for byte the cache entry
+// (and cascade-sim -json's output). Jobs check cache bytes once, when
+// they take them (see ValidResult); nothing that fails the check reaches
+// this splice.
+func writeBody(w http.ResponseWriter, status int, v interface{}, result json.RawMessage) {
+	body, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		http.Error(w, fmt.Sprintf("encode response: %v", err), http.StatusInternalServerError)
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	if len(result) == 0 {
+		w.WriteHeader(status)
+		w.Write(append(body, '\n'))
+		return
+	}
+	// Reopen the object, then write head, result and tail as they are:
+	// the result is never copied.
+	const sep, tail = ",\n  \"result\": ", "\n}\n"
+	head := append(bytes.TrimRight(body[:len(body)-1], " \n"), sep...)
+	result = bytes.TrimRight(result, " \n")
+	w.Header().Set("Content-Length", strconv.Itoa(len(head)+len(result)+len(tail)))
+	w.WriteHeader(status)
+	w.Write(head)
+	w.Write(result)
+	io.WriteString(w, tail)
+}
+
+// ErrInvalidResult fails a job whose result bytes are not valid JSON —
+// for example a checksummed cache entry written by a foreign tool. Such
+// bytes are never spliced into a response.
+var ErrInvalidResult = errors.New("result is not valid JSON")
+
+// ValidResult is the one validity check a job's result bytes get, made
+// where the job takes them from the cache — the only result bytes a job
+// takes from outside the process (computed results come from
+// json.Encoder; coalesced followers adopt their leader's) — not once per
+// response.
+func ValidResult(val []byte) error {
+	if !json.Valid(val) {
+		return fmt.Errorf("%w (%d bytes)", ErrInvalidResult, len(val))
+	}
+	return nil
+}
+
+// JobEnvelope renders a job in the current format: the result is hoisted
 // out of the job, and a failed job carries its typed error.
-func jobEnvelope(v JobView) Envelope {
+func JobEnvelope(v JobView) Envelope {
 	env := Envelope{Result: v.Result}
 	v.Result = nil
 	env.Job = &v
@@ -166,6 +229,8 @@ func errorCode(err error) string {
 		return CodeShuttingDown
 	case errors.Is(err, ErrUnknownExperiment):
 		return CodeNotFound
+	case errors.Is(err, ErrInvalidResult):
+		return CodeInvalidResult
 	default:
 		return CodeExperimentFailed
 	}

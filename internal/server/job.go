@@ -21,11 +21,15 @@ const (
 	StateFailed  State = "failed"
 )
 
+// terminal reports whether the state is final (done or failed).
+func (s State) terminal() bool { return s == StateDone || s == StateFailed }
+
 // job is the server-internal record of one submitted experiment run. All
 // mutable fields are guarded by the server mutex; done is closed exactly
 // once, when state reaches StateDone or StateFailed.
 type job struct {
 	id         string
+	seq        int // submission order (the number in id)
 	experiment string
 	params     JobParams // fully resolved (defaults filled)
 	key        string    // content-addressed cache key of the result

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/canon"
 	"repro/internal/cascade"
@@ -136,26 +137,56 @@ func JobKey(experiment string, p JobParams) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("job key: params: %w", err)
 	}
+	tail, err := jobKeyTail()
+	if err != nil {
+		return "", err
+	}
 	h := sha256.New()
 	io.WriteString(h, keySchema+"\x00job\x00")
 	io.WriteString(h, experiment)
 	h.Write([]byte{0})
 	h.Write(pb)
-	for _, cfg := range experiments.Machines() {
+	h.Write(tail)
+	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// jobKeyTails memoizes JobKey's parameter-independent tail — each
+// machine preset's and the default options' canonical bytes, each
+// behind a zero separator — once per experiments.SetParallel setting,
+// the one input it depends on. Serializing the presets dominated a
+// submission's key cost; now it pays only for its parameters and the
+// hash.
+var jobKeyTails [2]struct {
+	once sync.Once
+	tail []byte
+	err  error
+}
+
+func jobKeyTail() ([]byte, error) {
+	cfgs := experiments.Machines()
+	memo := &jobKeyTails[0]
+	if len(cfgs) > 0 && cfgs[0].Parallel == machine.ParallelOn {
+		memo = &jobKeyTails[1]
+	}
+	memo.once.Do(func() { memo.tail, memo.err = buildJobKeyTail(cfgs) })
+	return memo.tail, memo.err
+}
+
+// buildJobKeyTail serializes the tail jobKeyTail memoizes.
+func buildJobKeyTail(cfgs []machine.Config) ([]byte, error) {
+	var tail []byte
+	for _, cfg := range cfgs {
 		cb, err := cfg.CanonicalBytes()
 		if err != nil {
-			return "", fmt.Errorf("job key: machine %s: %w", cfg.Name, err)
+			return nil, fmt.Errorf("job key: machine %s: %w", cfg.Name, err)
 		}
-		h.Write([]byte{0})
-		h.Write(cb)
+		tail = append(append(tail, 0), cb...)
 	}
 	ob, err := cascade.DefaultOptions(cascade.HelperPrefetch, nil).CanonicalBytes()
 	if err != nil {
-		return "", fmt.Errorf("job key: default options: %w", err)
+		return nil, fmt.Errorf("job key: default options: %w", err)
 	}
-	h.Write([]byte{0})
-	h.Write(ob)
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return append(append(tail, 0), ob...), nil
 }
 
 // CheckpointKey is the content address of a checkpoint stream: the

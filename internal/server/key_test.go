@@ -1,9 +1,14 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"io"
 	"testing"
 
+	"repro/internal/canon"
 	"repro/internal/cascade"
+	"repro/internal/experiments"
 	"repro/internal/machine"
 )
 
@@ -172,6 +177,62 @@ func TestJobKeyParamResolution(t *testing.T) {
 	}
 	if otherExp == implicit {
 		t.Error("experiment name does not contribute to the job key")
+	}
+}
+
+// freshJobKey is JobKey's derivation written out with nothing
+// memoized: every preset and the default options serialized on the spot.
+func freshJobKey(t *testing.T, experiment string, p JobParams) string {
+	t.Helper()
+	p = p.WithDefaults()
+	p.TimeoutMS = 0
+	pb, err := canon.JSON(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	io.WriteString(h, keySchema+"\x00job\x00"+experiment+"\x00")
+	h.Write(pb)
+	for _, cfg := range experiments.Machines() {
+		cb, err := cfg.CanonicalBytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(append([]byte{0}, cb...))
+	}
+	ob, err := cascade.DefaultOptions(cascade.HelperPrefetch, nil).CanonicalBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Write(append([]byte{0}, ob...))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestJobKeyMemoPerParallelSetting pins that JobKey's memoized preset
+// tail follows experiments.SetParallel: under either setting, and after
+// switching back and forth, it equals an unmemoized derivation, and the
+// two settings address different entries.
+func TestJobKeyMemoPerParallelSetting(t *testing.T) {
+	t.Cleanup(func() { experiments.SetParallel(false) })
+	params := []JobParams{{}, {Scale: 0.01}, {ChunkKB: 16, N: 1 << 12}}
+	keys := map[bool]string{}
+	for _, par := range []bool{false, true, false, true} {
+		experiments.SetParallel(par)
+		for _, exp := range []string{"fig2", "quickstart"} {
+			for _, p := range params {
+				got, err := JobKey(exp, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := freshJobKey(t, exp, p); got != want {
+					t.Errorf("parallel=%v %s %+v: memoized key %s, fresh %s", par, exp, p, got, want)
+				}
+			}
+		}
+		keys[par], _ = JobKey("fig2", JobParams{})
+	}
+	if keys[false] == keys[true] {
+		t.Error("parallel and serial job keys collide")
 	}
 }
 

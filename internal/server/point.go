@@ -64,11 +64,11 @@ const pointRetryAfter = "1"
 func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	ver, err := requestVersion(r)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if ver == LegacyAPIVersion {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("point execution requires %s %s", VersionHeader, APIVersion))
 		return
 	}
@@ -76,12 +76,12 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
 	if len(req.Points) > 0 {
 		if req.Point != nil {
-			writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+			WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 				"point and points are mutually exclusive")
 			return
 		}
@@ -89,23 +89,23 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if req.Point == nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, "missing point spec")
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, "missing point spec")
 		return
 	}
 	spec := *req.Point
 	if !experiments.Decomposable(spec.Experiment) {
-		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound,
+		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound,
 			fmt.Sprintf("experiment %q has no point decomposition", spec.Experiment))
 		return
 	}
 	key, err := canon.PointKey(spec)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if req.Key != "" && req.Key != key {
 		s.metrics.Inc(mPointsKeyMismatch)
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("point key mismatch: request says %s, spec derives %s — coordinator and worker disagree on the key derivation", req.Key, key))
 		return
 	}
@@ -116,7 +116,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		var res experiments.PointResult
 		if err := json.Unmarshal(val, &res); err == nil {
 			s.metrics.Inc(mPointsCacheHits)
-			writeEnvelope(w, http.StatusOK, Envelope{Point: &res, Cached: true})
+			WriteEnvelope(w, http.StatusOK, Envelope{Point: &res, Cached: true})
 			return
 		}
 		// An undecodable entry can only mean the PointResult shape moved
@@ -126,14 +126,14 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
 		return
 	}
 	release, ok := s.acquirePointSlot(r.Context())
 	if !ok {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
 			"point admission saturated")
 		return
 	}
@@ -153,7 +153,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		case CodeBadRequest, CodeNotFound:
 			status = http.StatusBadRequest
 		}
-		writeEnvelopeError(w, status, code, err.Error())
+		WriteEnvelopeError(w, status, code, err.Error())
 		return
 	}
 	s.metrics.Inc(mPointsExecuted)
@@ -162,7 +162,7 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 		// hand, only the shared copy is lost (cache.write_errors).
 		_ = s.storeResult(s.runCtx, key, val)
 	}
-	writeEnvelope(w, http.StatusOK, Envelope{Point: &res})
+	WriteEnvelope(w, http.StatusOK, Envelope{Point: &res})
 }
 
 // handlePointBatch serves the batched form of POST /v1/points: one
@@ -209,21 +209,21 @@ func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items 
 	if s.Draining() {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, ErrShuttingDown.Error())
 		return
 	}
 	release, ok := s.acquirePointSlot(r.Context())
 	if !ok {
 		s.metrics.Inc(mPointsRejected)
 		w.Header().Set("Retry-After", pointRetryAfter)
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeQueueFull,
 			"point admission saturated")
 		return
 	}
 	defer release()
 	s.metrics.Inc(mPointsBatches)
 
-	stream := wantsNDJSON(r)
+	stream := WantsNDJSON(r)
 	var flusher http.Flusher
 	if stream {
 		w.Header().Set("Content-Type", NDJSONContentType)
@@ -247,7 +247,7 @@ func (s *Server) handlePointBatch(w http.ResponseWriter, r *http.Request, items 
 		outcomes = append(outcomes, o)
 	}
 	if !stream {
-		writeEnvelope(w, http.StatusOK, Envelope{Outcomes: outcomes})
+		WriteEnvelope(w, http.StatusOK, Envelope{Outcomes: outcomes})
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime/debug"
+	"sort"
 	"time"
 
 	"repro/internal/experiments"
@@ -66,7 +67,6 @@ func (s *Server) Submit(experiment string, p JobParams) (JobView, error) {
 	// jobs.rejected.
 	s.metrics.Inc(mJobsSubmitted)
 	j := &job{
-		id:         fmt.Sprintf("j%d", s.nextID),
 		experiment: e.Name,
 		params:     p,
 		key:        key,
@@ -74,9 +74,7 @@ func (s *Server) Submit(experiment string, p JobParams) (JobView, error) {
 		created:    time.Now(),
 		done:       make(chan struct{}),
 	}
-	s.nextID++
-	s.jobs[j.id] = j
-	s.order = append(s.order, j)
+	s.admitLocked(j)
 
 	if leader, ok := s.inflight[key]; ok {
 		j.coalesced = true
@@ -86,9 +84,7 @@ func (s *Server) Submit(experiment string, p JobParams) (JobView, error) {
 		return j.view(true), nil
 	}
 	if val, ok := s.cache.Get(key); ok {
-		j.cached = true
-		s.finishLocked(j, val, nil)
-		s.metrics.Inc(mJobsCacheHits)
+		s.finishHitLocked(j, val)
 		return j.view(true), nil
 	}
 	select {
@@ -105,23 +101,53 @@ func (s *Server) Submit(experiment string, p JobParams) (JobView, error) {
 	return j.view(true), nil
 }
 
-// Job returns the view of a submitted job (false when the id is unknown).
-func (s *Server) Job(id string) (JobView, bool) {
+// admitLocked assigns j the next ID and enters it in the job table.
+// Callers must hold the server mutex.
+func (s *Server) admitLocked(j *job) {
+	j.seq = s.nextID
+	j.id = fmt.Sprintf("j%d", j.seq)
+	s.nextID++
+	s.jobs[j.id] = j
+}
+
+// lookup returns the job an ID names, if the table still holds it.
+func (s *Server) lookup(id string) (*job, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
+	return j, ok
+}
+
+// viewOf renders a job the caller already holds, whether or not the
+// table has since forgotten it.
+func (s *Server) viewOf(j *job, withResult bool) JobView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return j.view(withResult)
+}
+
+// Job returns the view of a submitted job (false when the id is unknown
+// or its finished job has aged out of the table; see maxFinishedJobs).
+func (s *Server) Job(id string) (JobView, bool) {
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobView{}, false
 	}
-	return j.view(true), true
+	return s.viewOf(j, true), true
 }
 
-// Jobs returns every job in submission order, without result payloads.
+// Jobs returns every job the table holds in submission order, without
+// result payloads.
 func (s *Server) Jobs() []JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobView, len(s.order))
-	for i, j := range s.order {
+	js := make([]*job, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		js = append(js, j)
+	}
+	sort.Slice(js, func(a, b int) bool { return js[a].seq < js[b].seq })
+	out := make([]JobView, len(js))
+	for i, j := range js {
 		out[i] = j.view(false)
 	}
 	return out
@@ -129,11 +155,10 @@ func (s *Server) Jobs() []JobView {
 
 // Await blocks until the job finishes, the timeout elapses (0 = return
 // immediately), or cancel is closed/ready; it then returns the current
-// view.
+// view. A job found at entry is answered even if it ages out of the
+// table while the caller waits.
 func (s *Server) Await(id string, timeout time.Duration, cancel <-chan struct{}) (JobView, bool) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return JobView{}, false
 	}
@@ -146,7 +171,7 @@ func (s *Server) Await(id string, timeout time.Duration, cancel <-chan struct{})
 		case <-cancel:
 		}
 	}
-	return s.Job(id)
+	return s.viewOf(j, true), true
 }
 
 // follow completes a coalesced follower when its leader finishes: the
@@ -306,8 +331,26 @@ func (s *Server) storeResult(ctx context.Context, key string, val []byte) error 
 	}
 }
 
-// finishLocked moves a job to its terminal state and wakes waiters.
-// Callers must hold the server mutex.
+// finishHitLocked completes a job from cache bytes. Those are the only
+// result bytes a job takes from outside the process — computed results
+// come from json.Encoder, and followers adopt their leader's — so this
+// is where the one ValidResult check per job runs (responses splice
+// result bytes verbatim; see writeBody). The check runs with the server
+// mutex released: scanning a large result costs more than the rest of a
+// hit, and every other request needs the mutex. Callers hold the mutex
+// and get it back held; meanwhile the job stays queued.
+func (s *Server) finishHitLocked(j *job, val []byte) {
+	j.cached = true
+	s.metrics.Inc(mJobsCacheHits)
+	s.mu.Unlock()
+	err := ValidResult(val)
+	s.mu.Lock()
+	s.finishLocked(j, val, err)
+}
+
+// finishLocked moves a job to its terminal state, wakes waiters, and
+// retires the job into the bounded finished list. Callers must hold the
+// server mutex.
 func (s *Server) finishLocked(j *job, val []byte, err error) {
 	j.finished = time.Now()
 	if err != nil {
@@ -321,6 +364,17 @@ func (s *Server) finishLocked(j *job, val []byte, err error) {
 		s.metrics.Inc(mJobsCompleted)
 	}
 	close(j.done)
+
+	s.finished = append(s.finished, j)
+	if len(s.finished) > maxFinishedJobs {
+		old := s.finished[0]
+		s.finished[0] = nil // let the backing array drop it
+		s.finished = s.finished[1:]
+		delete(s.jobs, old.id)
+		s.ckMu.Lock()
+		delete(s.ckByJob, old.id)
+		s.ckMu.Unlock()
+	}
 }
 
 // RenderJSON renders an experiment result exactly as cascade-sim's -json

@@ -107,9 +107,7 @@ func FiredCounts(inj *faults.Injector, sites []string) map[string]int64 {
 
 // Repro builds the repro bundle for a terminal-failed job.
 func (s *Server) Repro(id string) (*ReproBundle, error) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
+	j, ok := s.lookup(id)
 	if !ok {
 		return nil, &codedError{code: CodeNotFound, err: fmt.Errorf("unknown job %q", id)}
 	}
@@ -153,7 +151,7 @@ func (s *Server) Repro(id string) (*ReproBundle, error) {
 // exactly what `cascade-sim -repro` consumes.
 func (s *Server) handleRepro(w http.ResponseWriter, r *http.Request) {
 	if ver, err := requestVersion(r); err != nil || ver == LegacyAPIVersion {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("repro bundles require %s %s", VersionHeader, APIVersion))
 		return
 	}
@@ -162,7 +160,7 @@ func (s *Server) handleRepro(w http.ResponseWriter, r *http.Request) {
 		writeCodedError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, b)
+	WriteJSON(w, http.StatusOK, b)
 }
 
 // RunRepro replays a bundle: re-arm the recorded fault injector from

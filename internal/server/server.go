@@ -140,8 +140,8 @@ type Server struct {
 	mu       sync.Mutex
 	closed   bool
 	nextID   int
-	jobs     map[string]*job
-	order    []*job
+	jobs     map[string]*job // queued, running and the newest finished jobs
+	finished []*job          // finished jobs still in jobs, oldest first
 	inflight map[string]*job // cache key → queued/running leader
 
 	// Checkpoint streams (in-memory only — they hold live copy-on-write
@@ -149,7 +149,15 @@ type Server struct {
 	ckMu    sync.Mutex
 	ckByKey map[string]*checkpointStream // content address → stream
 	ckByJob map[string]*checkpointStream // job id → its current stream
+
+	streamTickHook func() // tests only: see JobStream.afterTick
 }
+
+// maxFinishedJobs bounds the job table: the newest this-many finished
+// jobs stay addressable by ID, older ones are forgotten (their IDs
+// answer 404 not_found; resubmitting one is a cache hit). Queued and
+// running jobs are never forgotten.
+const maxFinishedJobs = 1024
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) (*Server, error) {
@@ -320,14 +328,14 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleExperiments(w http.ResponseWriter, r *http.Request) {
 	ver, err := requestVersion(r)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	if ver == LegacyAPIVersion {
-		writeJSON(w, http.StatusOK, map[string]interface{}{"experiments": s.infos})
+		WriteJSON(w, http.StatusOK, map[string]interface{}{"experiments": s.infos})
 		return
 	}
-	writeEnvelope(w, http.StatusOK, Envelope{Experiments: s.infos})
+	WriteEnvelope(w, http.StatusOK, Envelope{Experiments: s.infos})
 }
 
 // submitRequest is the POST /v1/jobs body: either an experiment to run
@@ -341,7 +349,7 @@ type submitRequest struct {
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	ver, err := requestVersion(r)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	var req submitRequest
@@ -366,13 +374,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		depth := s.QueueDepth()
 		if ver == LegacyAPIVersion {
-			writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
+			WriteJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
 				"error":       err.Error(),
 				"queue_depth": depth,
 			})
 			return
 		}
-		writeEnvelope(w, http.StatusServiceUnavailable, Envelope{
+		WriteEnvelope(w, http.StatusServiceUnavailable, Envelope{
 			Error:      &APIError{Code: CodeQueueFull, Message: err.Error()},
 			QueueDepth: &depth,
 		})
@@ -394,32 +402,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // existed.
 func (s *Server) handleSubmitResume(w http.ResponseWriter, ver string, req submitRequest) {
 	if ver == LegacyAPIVersion {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			fmt.Sprintf("from_checkpoint requires %s %s", VersionHeader, APIVersion))
 		return
 	}
 	if req.Experiment != "" {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest,
 			"experiment and from_checkpoint are mutually exclusive")
 		return
 	}
 	v, err := s.SubmitResume(*req.FromCheckpoint)
 	if errors.Is(err, ErrShuttingDown) {
 		w.Header().Set("Retry-After", strconv.Itoa(int(shutdownRetryAfter/time.Second)))
-		writeEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
+		WriteEnvelopeError(w, http.StatusServiceUnavailable, CodeShuttingDown, err.Error())
 		return
 	}
 	if err != nil {
 		writeCodedError(w, err)
 		return
 	}
-	writeEnvelope(w, http.StatusOK, jobEnvelope(v))
+	WriteEnvelope(w, http.StatusOK, JobEnvelope(v))
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	ver, err := requestVersion(r)
 	if err != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 		return
 	}
 	jobs := s.Jobs()
@@ -427,16 +435,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		for i := range jobs {
 			jobs[i] = legacyView(jobs[i])
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"jobs": jobs})
+		WriteJSON(w, http.StatusOK, map[string]interface{}{"jobs": jobs})
 		return
 	}
-	writeEnvelope(w, http.StatusOK, Envelope{Jobs: jobs})
+	WriteEnvelope(w, http.StatusOK, Envelope{Jobs: jobs})
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	ver, verErr := requestVersion(r)
 	if verErr != nil {
-		writeEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, verErr.Error())
+		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, verErr.Error())
 		return
 	}
 	id := r.PathValue("id")
@@ -449,7 +457,7 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		}
 		wait = d
 	}
-	if ver == APIVersion && wantsNDJSON(r) {
+	if ver == APIVersion && WantsNDJSON(r) {
 		s.streamJob(w, r, id, wait)
 		return
 	}
@@ -459,26 +467,35 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ver == LegacyAPIVersion {
-		writeJSON(w, http.StatusOK, legacyView(v))
+		writeLegacyJob(w, http.StatusOK, v)
 		return
 	}
-	env := jobEnvelope(v)
+	env := JobEnvelope(v)
 	// A request cancelled while waiting gets a terminal typed error, not
 	// a bare 200 with a partial body the client must diagnose.
 	if env.Error == nil && v.State != StateDone && r.Context().Err() != nil {
 		env.Error = &APIError{Code: CodeCancelled,
 			Message: fmt.Sprintf("request cancelled while waiting for job %q", id)}
 	}
-	writeEnvelope(w, http.StatusOK, env)
+	WriteEnvelope(w, http.StatusOK, env)
 }
 
 // writeJob renders a job response in the requested wire format.
 func (s *Server) writeJob(w http.ResponseWriter, ver string, status int, v JobView) {
 	if ver == LegacyAPIVersion {
-		writeJSON(w, status, legacyView(v))
+		writeLegacyJob(w, status, v)
 		return
 	}
-	writeEnvelope(w, status, jobEnvelope(v))
+	WriteEnvelope(w, status, JobEnvelope(v))
+}
+
+// writeLegacyJob writes the legacy unwrapped job body. Its result is the
+// job's last field, spliced in verbatim exactly as WriteEnvelope does.
+func writeLegacyJob(w http.ResponseWriter, status int, v JobView) {
+	v = legacyView(v)
+	result := v.Result
+	v.Result = nil
+	writeBody(w, status, v, result)
 }
 
 // writeSubmitError renders an error in the requested wire format: a
@@ -488,7 +505,7 @@ func (s *Server) writeSubmitError(w http.ResponseWriter, ver string, status int,
 		writeError(w, status, err)
 		return
 	}
-	writeEnvelopeError(w, status, code, err.Error())
+	WriteEnvelopeError(w, status, code, err.Error())
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -496,14 +513,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeMetrics(w, s.metrics.Snapshot())
 }
 
-func writeJSON(w http.ResponseWriter, status int, v interface{}) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
 func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }

@@ -331,10 +331,10 @@ func TestServerEndToEndCacheHit(t *testing.T) {
 		}
 	}
 
-	// Differential check: the stored cache entry is byte-identical to a
+	// Differential check: the stored cache entry — and the result the
+	// HTTP responses above carried verbatim — is byte-identical to a
 	// fresh simulation of the same fully-resolved configuration,
-	// rendered the same way. (The HTTP responses above re-indent the
-	// nested result, so the comparison is against the cache itself.)
+	// rendered the same way.
 	e, ok := experiments.Lookup("quickstart")
 	if !ok {
 		t.Fatal("quickstart not registered")
@@ -354,6 +354,9 @@ func TestServerEndToEndCacheHit(t *testing.T) {
 	}
 	if !bytes.Equal(fresh, cached) {
 		t.Error("cached result bytes differ from a fresh simulation of the same config")
+	}
+	if !bytes.Equal(done.Result, bytes.TrimRight(fresh, "\n")) {
+		t.Error("served result bytes differ from a fresh simulation of the same config")
 	}
 }
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -39,79 +38,107 @@ const DefaultProgressInterval = time.Second
 // streaming keep-alive frames.
 const NDJSONContentType = "application/x-ndjson"
 
-// wantsNDJSON reports whether the request opted into streaming frames.
-func wantsNDJSON(r *http.Request) bool {
+// WantsNDJSON reports whether the request opted into streaming frames.
+func WantsNDJSON(r *http.Request) bool {
 	return strings.Contains(r.Header.Get("Accept"), NDJSONContentType)
 }
 
-// streamJob serves one streaming long-poll. wait bounds the total wait
-// exactly as the plain path's Await does; 0 degenerates to a single
-// final frame.
-func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, wait time.Duration) {
-	s.mu.Lock()
-	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		writeEnvelopeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("unknown job %q", id))
-		return
-	}
+// JobStream is what a streaming long-poll needs of one job. The server
+// and the fabric coordinator both serve their ndjson ?wait through it, so
+// the frame sequence — and its guarantees — exist once.
+type JobStream struct {
+	// Done is closed when the job turns terminal.
+	Done <-chan struct{}
+	// View snapshots the job under its owner's lock.
+	View func(withResult bool) JobView
+	// Progress reports the job's live point counts (nil before any).
+	Progress func() *Progress
+	// Interval is the keep-alive cadence.
+	Interval time.Duration
 
+	// afterTick, when set, runs between a keep-alive tick and the view it
+	// reads: tests finish the job there to pin the tick/finish race.
+	afterTick func()
+}
+
+// Serve writes one streaming long-poll for job id. wait bounds the total
+// wait exactly as the plain path's Await does; 0 degenerates to a single
+// final frame. A keep-alive frame never carries a terminal state: a job
+// found terminal at a tick — it finished after the tick fired, or select
+// picked the tick over a ready Done — falls through to the final frame,
+// so a client that stops at the first done frame always gets the result.
+func (js JobStream) Serve(w http.ResponseWriter, r *http.Request, id string, wait time.Duration) {
 	w.Header().Set("Content-Type", NDJSONContentType)
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 
 	deadline := time.NewTimer(wait)
 	defer deadline.Stop()
-	tick := time.NewTicker(s.progressTick)
+	tick := time.NewTicker(js.Interval)
 	defer tick.Stop()
 
+poll:
 	for {
 		select {
-		case <-j.done:
+		case <-js.Done:
+			break poll
 		case <-deadline.C:
+			break poll
 		case <-r.Context().Done():
+			break poll
 		case <-tick.C:
-			s.mu.Lock()
-			frame := Envelope{Job: ptr(j.view(false))}
-			s.mu.Unlock()
-			frame.Progress = j.progress()
-			if writeFrame(w, flusher, frame) != nil {
+			if js.afterTick != nil {
+				js.afterTick()
+			}
+			v := js.View(false)
+			if v.State.terminal() {
+				break poll
+			}
+			if writeFrame(w, flusher, Envelope{Job: &v, Progress: js.Progress()}) != nil {
 				return // client hung up; the job runs on regardless
 			}
-			continue
 		}
-		break
 	}
 
-	v, _ := s.Job(id)
-	env := jobEnvelope(v)
+	v := js.View(true)
+	env := JobEnvelope(v)
 	if env.Error == nil && v.State != StateDone {
 		if r.Context().Err() != nil {
 			env.Error = &APIError{Code: CodeCancelled,
 				Message: fmt.Sprintf("request cancelled while waiting for job %q", id)}
 		} else {
-			env.Progress = j.progress()
+			env.Progress = js.Progress()
 		}
 	}
 	writeFrame(w, flusher, env)
 }
 
+// streamJob serves the server's streaming long-poll.
+func (s *Server) streamJob(w http.ResponseWriter, r *http.Request, id string, wait time.Duration) {
+	j, ok := s.lookup(id)
+	if !ok {
+		WriteEnvelopeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("unknown job %q", id))
+		return
+	}
+	JobStream{
+		Done:      j.done,
+		View:      func(withResult bool) JobView { return s.viewOf(j, withResult) },
+		Progress:  j.progress,
+		Interval:  s.progressTick,
+		afterTick: s.streamTickHook,
+	}.Serve(w, r, id, wait)
+}
+
 // writeFrame writes one envelope as a single ndjson line and flushes it
-// past any buffering so keep-alives actually reach the client.
+// past any buffering so keep-alives actually reach the client. Marshal
+// compacts an indented stored result onto the one line ndjson requires.
 func writeFrame(w http.ResponseWriter, flusher http.Flusher, env Envelope) error {
 	env.Version = APIVersion
-	raw, err := json.Marshal(env)
+	line, err := json.Marshal(env)
 	if err != nil {
 		return err
 	}
-	// Result payloads are stored indented (RenderJSON) and embedded
-	// verbatim by Marshal; compact the whole frame so it stays one line.
-	var line bytes.Buffer
-	if err := json.Compact(&line, raw); err != nil {
-		return err
-	}
-	line.WriteByte('\n')
-	if _, err := w.Write(line.Bytes()); err != nil {
+	if _, err := w.Write(append(line, '\n')); err != nil {
 		return err
 	}
 	if flusher != nil {
@@ -119,5 +146,3 @@ func writeFrame(w http.ResponseWriter, flusher http.Flusher, env Envelope) error
 	}
 	return nil
 }
-
-func ptr[T any](v T) *T { return &v }

@@ -139,6 +139,74 @@ func TestStreamingWaitKeepAlive(t *testing.T) {
 	}
 }
 
+// TestStreamingTickFinishRace pins the keep-alive/finish race
+// deterministically: the test hook finishes the job between a
+// keep-alive tick and the view that tick reads. That view is terminal,
+// so it must not go out as a keep-alive (a "done" frame without the
+// result); the stream falls through to the final frame instead.
+func TestStreamingTickFinishRace(t *testing.T) {
+	const total = 2
+	step := make(chan struct{}, total)
+	s, err := New(Config{
+		Workers:          1,
+		Experiments:      []experiments.Experiment{progressExperiment("raced", total, step)},
+		ProgressInterval: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	v, err := s.Submit("raced", JobParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ticks atomic.Int32
+	s.streamTickHook = func() {
+		if ticks.Add(1) > 1 {
+			return
+		}
+		for i := 0; i < total; i++ {
+			step <- struct{}{}
+		}
+		if done, _ := s.Await(v.ID, 10*time.Second, nil); done.State != StateDone {
+			t.Errorf("job did not finish inside the hook: %s", done.State)
+		}
+	}
+
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/"+v.ID+"?wait=10s", nil)
+	req.Header.Set("Accept", NDJSONContentType)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var frames []Envelope
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		var env Envelope
+		if err := json.Unmarshal(sc.Bytes(), &env); err != nil {
+			t.Fatalf("bad frame: %v\n%s", err, sc.Bytes())
+		}
+		frames = append(frames, env)
+	}
+	if ticks.Load() == 0 {
+		t.Fatal("the stream never ticked; the hook did not run")
+	}
+	for i, f := range frames[:len(frames)-1] {
+		if f.Job == nil || f.Job.State == StateDone || f.Job.State == StateFailed {
+			t.Errorf("keep-alive frame %d carries state %v", i, f.Job)
+		}
+	}
+	final := frames[len(frames)-1]
+	if final.Job == nil || final.Job.State != StateDone || len(final.Result) == 0 {
+		t.Fatalf("final frame is not the completed envelope: %+v", final)
+	}
+}
+
 // TestStreamingWaitTimeout pins the wait-bound: a streaming poll whose
 // wait elapses before the job finishes ends with a frame that reports
 // the job still running (progress attached), not an error and not a
