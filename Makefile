@@ -19,13 +19,15 @@
 # coordinator + worker pair (recorded in BENCH_fabric.json);
 # `bench-smoke` is the CI
 # keep-the-benchmarks-compiling pass: one iteration of the hot-path
-# benchmarks at short-mode scale, a smoke test rather than a measurement.
+# benchmarks at short-mode scale, a smoke test rather than a measurement;
+# `fuzz` runs each fuzz target for 20s (a crasher lands under the
+# package's testdata/fuzz and replays in every plain `go test` after).
 
 GO ?= go
 SERVE_FLAGS ?= -cache .cascade-cache
 CHAOS_SEED ?=
 
-.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke fmt
+.PHONY: tier1 race race-short chaos chaos-fabric fabric-smoke serve bench bench-hotpath bench-parallel bench-snapshot bench-fabric bench-smoke fuzz fmt
 
 tier1:
 	$(GO) build ./...
@@ -69,6 +71,10 @@ bench-fabric:
 bench-smoke:
 	$(GO) test -run NONE -bench 'BenchmarkHotPathSequential|BenchmarkHotPathCascade' -benchtime 1x -short .
 	$(GO) test -run NONE -bench BenchmarkSnapshotChunkSweep -benchtime 1x -short ./internal/experiments/
+
+fuzz:
+	$(GO) test -run NONE -fuzz '^FuzzJournalScan$$' -fuzztime 20s ./internal/fabric/journal
+	$(GO) test -run NONE -fuzz '^FuzzPointKeyWire$$' -fuzztime 20s ./internal/server
 
 fmt:
 	gofmt -w .

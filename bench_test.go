@@ -32,10 +32,31 @@ const (
 )
 
 func benchParams() wave5.Params {
+	return wave5.DefaultParams().Scaled(benchScaleFor())
+}
+
+func benchScaleFor() float64 {
 	if testing.Short() {
-		return wave5.DefaultParams().Scaled(benchScaleShort)
+		return benchScaleShort
 	}
-	return wave5.DefaultParams().Scaled(benchScale)
+	return benchScale
+}
+
+// runRegistered runs a registry experiment at the bench scale, as
+// cascade-sim -exp does.
+func runRegistered(b *testing.B, name string) experiments.Renderable {
+	b.Helper()
+	e, ok := experiments.Lookup(name)
+	if !ok {
+		b.Fatalf("experiment %q not registered", name)
+	}
+	rc := experiments.DefaultRunConfig()
+	rc.Scale = benchScaleFor()
+	res, err := e.Run(context.Background(), rc)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
 }
 
 // BenchmarkTable1 regenerates Table 1 (machine memory characteristics).
@@ -49,10 +70,7 @@ func BenchmarkTable1(b *testing.B) {
 // processor count for both helpers on both machines.
 func BenchmarkFig2(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig2(context.Background(), benchParams(), cascade.DefaultChunkBytes)
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRegistered(b, "fig2").(*experiments.Fig2Result)
 		b.ReportMetric(res.Speedup("PentiumPro", experiments.Restructured, 4), "xPPro-restr-4p")
 		b.ReportMetric(res.Speedup("PentiumPro", experiments.Prefetched, 4), "xPPro-pref-4p")
 		b.ReportMetric(res.Speedup("R10000", experiments.Restructured, 8), "xR10k-restr-8p")
@@ -120,10 +138,7 @@ func BenchmarkFig5(b *testing.B) {
 // metrics are the best chunk size and its speedup per machine.
 func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := experiments.Fig6(context.Background(), benchParams())
-		if err != nil {
-			b.Fatal(err)
-		}
+		res := runRegistered(b, "fig6").(*experiments.Fig6Result)
 		ppChunk, ppSpeed := res.Best("PentiumPro", experiments.Restructured)
 		rkChunk, rkSpeed := res.Best("R10000", experiments.Restructured)
 		b.ReportMetric(float64(ppChunk)/1024, "KB-best-PPro")

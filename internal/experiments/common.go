@@ -72,28 +72,7 @@ func RunPARMVR(cfg machine.Config, p wave5.Params, strat Strategy, chunkBytes in
 	if err != nil {
 		return nil, err
 	}
-	results := make([]cascade.Result, 0, len(w.Loops))
-	for _, l := range w.Loops {
-		var r cascade.Result
-		if strat == Sequential {
-			r = cascade.RunSequential(m, l, true)
-		} else {
-			opts, oerr := cascade.NewOptions(
-				cascade.WithHelper(strat.helper()),
-				cascade.WithSpace(w.Space),
-				cascade.WithChunkBytes(chunkBytes),
-			)
-			if oerr != nil {
-				return nil, oerr
-			}
-			r, err = cascade.Run(m, l, opts)
-			if err != nil {
-				return nil, err
-			}
-		}
-		results = append(results, r)
-	}
-	return results, nil
+	return runCall(m, w, strat, chunkBytes, false)
 }
 
 // RunPARMVRCall measures one call of PARMVR after warmupCalls prior calls
@@ -115,32 +94,52 @@ func RunPARMVRCall(cfg machine.Config, p wave5.Params, strat Strategy, chunkByte
 	if err != nil {
 		return nil, err
 	}
-	runCall := func() ([]cascade.Result, error) {
-		results := make([]cascade.Result, 0, len(w.Loops))
-		for _, l := range w.Loops {
-			var r cascade.Result
-			if strat == Sequential {
-				r = cascade.RunSequentialWarm(m, l)
-			} else {
-				opts, oerr := cascade.NewOptions(
-					cascade.WithHelper(strat.helper()),
-					cascade.WithSpace(w.Space),
-					cascade.WithChunkBytes(chunkBytes),
-					cascade.WithKeepState(true), // state carries over between loops/calls
-				)
-				if oerr != nil {
-					return nil, oerr
-				}
-				r, err = cascade.Run(m, l, opts)
-				if err != nil {
-					return nil, err
-				}
-			}
-			results = append(results, r)
+	distribute(m, w)
+	for c := 0; c < warmupCalls; c++ {
+		if _, err := runCall(m, w, strat, chunkBytes, true); err != nil {
+			return nil, err
 		}
-		return results, nil
 	}
-	// Initial distribution models the parallel phases around the calls.
+	return runCall(m, w, strat, chunkBytes, true)
+}
+
+// runCall runs one full PARMVR call on m: the fifteen loops in order
+// under strat. A cold call (warm = false) resets the caches before every
+// loop and models the prior parallel section; a warm call carries the
+// machine's cache state into and between the loops, so it measures a
+// steady-state call against whatever earlier calls left behind.
+func runCall(m *machine.Machine, w *wave5.PARMVR, strat Strategy, chunkBytes int, warm bool) ([]cascade.Result, error) {
+	results := make([]cascade.Result, 0, len(w.Loops))
+	for _, l := range w.Loops {
+		if strat == Sequential {
+			if warm {
+				results = append(results, cascade.RunSequentialWarm(m, l))
+			} else {
+				results = append(results, cascade.RunSequential(m, l, true))
+			}
+			continue
+		}
+		opts, err := cascade.NewOptions(
+			cascade.WithHelper(strat.helper()),
+			cascade.WithSpace(w.Space),
+			cascade.WithChunkBytes(chunkBytes),
+			cascade.WithKeepState(warm),
+		)
+		if err != nil {
+			return nil, err
+		}
+		r, err := cascade.Run(m, l, opts)
+		if err != nil {
+			return nil, err
+		}
+		results = append(results, r)
+	}
+	return results, nil
+}
+
+// distribute models the parallel phases around a PARMVR call: every
+// loop's data is spread dirty across the processors' caches.
+func distribute(m *machine.Machine, w *wave5.PARMVR) {
 	var ranges []machine.AddrRange
 	for _, l := range w.Loops {
 		for _, ar := range l.AddrRanges() {
@@ -148,12 +147,6 @@ func RunPARMVRCall(cfg machine.Config, p wave5.Params, strat Strategy, chunkByte
 		}
 	}
 	m.DistributeLines(ranges)
-	for c := 0; c < warmupCalls; c++ {
-		if _, err := runCall(); err != nil {
-			return nil, err
-		}
-	}
-	return runCall()
 }
 
 // MergeMetrics folds the per-loop metric snapshots of a multi-loop run

@@ -11,10 +11,29 @@ import (
 	"repro/internal/wave5"
 )
 
-// testParams shrinks PARMVR enough for fast tests while keeping every
+// testScale shrinks PARMVR enough for fast tests while keeping every
 // loop's structure (footprints still exceed the L1s).
+const testScale = 0.05
+
 func testParams() wave5.Params {
-	return wave5.DefaultParams().Scaled(0.05)
+	return wave5.DefaultParams().Scaled(testScale)
+}
+
+// runRegistered runs a registry experiment at a reduced scale with every
+// other knob at its default, as cascade-sim -exp does.
+func runRegistered(t *testing.T, name string, scale float64) Renderable {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q not registered", name)
+	}
+	rc := DefaultRunConfig()
+	rc.Scale = scale
+	r, err := e.Run(context.Background(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 func TestStrategyString(t *testing.T) {
@@ -79,10 +98,7 @@ func TestFig2Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig2 sweeps both machines at several processor counts")
 	}
-	res, err := Fig2(context.Background(), testParams(), cascade.DefaultChunkBytes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRegistered(t, "fig2", testScale).(*Fig2Result)
 	ppRes := res.Speedup("PentiumPro", Restructured, 4)
 	ppPre := res.Speedup("PentiumPro", Prefetched, 4)
 	rkRes := res.Speedup("R10000", Restructured, 8)
@@ -156,10 +172,7 @@ func TestFig6Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping in -short: fig6 sweeps the full chunk-size grid")
 	}
-	res, err := Fig6(context.Background(), testParams())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runRegistered(t, "fig6", testScale).(*Fig6Result)
 	for _, mc := range Machines() {
 		bestChunk, bestSpeed := res.Best(mc.Name, Restructured)
 		if bestSpeed <= 1 {

@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"io"
 
-	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/report"
 	"repro/internal/wave5"
@@ -25,68 +23,14 @@ type Fig6Point struct {
 	Metrics metrics.Snapshot `json:",omitempty"`
 }
 
-// Fig6Result holds the chunk-size sweep.
+// Fig6Result holds Figure 6's chunk-size sweep: overall PARMVR speedup
+// at 4KB-2048KB chunks on four processors, for both helpers and both
+// machines (the registry's fig6 entry runs it through the fig6
+// decomposition in points.go).
 type Fig6Result struct {
 	Params wave5.Params
 	Procs  int
 	Points []Fig6Point
-}
-
-// Fig6 reproduces Figure 6: the effect of chunk size (4KB-2048KB) on
-// overall PARMVR speedup with four processors, for both helpers and both
-// machines. The sweep's independent simulations run in parallel across
-// the host's cores.
-func Fig6(ctx context.Context, p wave5.Params) (*Fig6Result, error) {
-	const procs = 4
-	res := &Fig6Result{Params: p, Procs: procs}
-
-	machines := Machines()
-	bases := make([]int64, len(machines))
-	if err := parallelFor(ctx, len(machines), func(i int) error {
-		seq, err := RunPARMVR(machines[i].WithProcs(procs), p, Sequential, 64*1024)
-		if err != nil {
-			return err
-		}
-		bases[i] = TotalCycles(seq)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-
-	type spec struct {
-		cfg   machine.Config
-		base  int64
-		strat Strategy
-		kb    int
-	}
-	var specs []spec
-	for i, cfg := range machines {
-		for _, kb := range Fig6ChunkSizesKB {
-			for _, strat := range []Strategy{Prefetched, Restructured} {
-				specs = append(specs, spec{cfg.WithProcs(procs), bases[i], strat, kb})
-			}
-		}
-	}
-	points := make([]Fig6Point, len(specs))
-	if err := parallelFor(ctx, len(specs), func(k int) error {
-		s := specs[k]
-		rr, err := RunPARMVR(s.cfg, p, s.strat, s.kb*1024)
-		if err != nil {
-			return err
-		}
-		points[k] = Fig6Point{
-			Machine:    s.cfg.Name,
-			Strategy:   s.strat,
-			ChunkBytes: s.kb * 1024,
-			Speedup:    float64(s.base) / float64(TotalCycles(rr)),
-			Metrics:    MergeMetrics(rr),
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	res.Points = points
-	return res, nil
 }
 
 // Speedup returns the sweep value for a configuration (0 if absent).

@@ -11,26 +11,28 @@ import (
 	"repro/internal/wave5"
 )
 
-// Point-level decomposition of the sweep drivers. A decomposable
-// experiment can be split into an ordered list of independent simulation
-// points — each fully described by a serializable PointSpec — run
-// anywhere (another goroutine, another process, another node), and
-// reassembled by a merge step into exactly the Renderable the monolithic
-// driver produces. The contract the fabric's byte-identity guarantee
-// rests on:
+// Point-level decomposition of the sweeps. A decomposable experiment is
+// split into an ordered list of independent simulation points — each
+// fully described by a serializable PointSpec — run anywhere (another
+// goroutine, another process, another node), and reassembled by a merge
+// step into the experiment's Renderable. The decomposition is the only
+// implementation of the fig2, fig6 and warmsweep sweeps: the registry
+// runs them through RunDecomposed on the local pool, and the fabric runs
+// the same Points, Run and Merge across a fleet. The contract that makes
+// the two produce the same bytes:
 //
 //   - Points(rc) is deterministic: same RunConfig, same specs, same order.
 //   - Run(ctx, spec) depends only on the spec (every knob that influences
 //     the simulation is a spec field), so a point computes the same
 //     result on every node — and content-addressing point results by the
 //     canonical hash of the spec is sound.
-//   - Merge(rc, results) consumes index-ordered results and performs the
-//     exact arithmetic of the monolithic driver, so the merged result's
-//     canonical JSON is byte-identical to a single-node run's.
+//   - Merge(rc, results) consumes index-ordered results and derives every
+//     ratio from their raw integers, so the merged result's canonical
+//     JSON does not depend on where the points ran.
 //
-// The equivalence tests in points_test.go pin all three properties for
-// the built-in decompositions (fig2, fig6), including a JSON round-trip
-// of every PointResult to prove identity survives wire transport.
+// points_test.go pins the wire round-trip of specs and results and the
+// shuffled merge against the registry's output; golden_test.go pins the
+// bytes themselves.
 
 // PointSpec fully describes one simulation point of a decomposed sweep.
 // Every field that can influence the simulated result is here; the spec
@@ -67,8 +69,8 @@ type PointSpec struct {
 
 // PointResult is the serializable outcome of running one PointSpec: the
 // raw measurements merges need, never derived ratios — speedups are
-// computed at merge time from the same integers the monolithic driver
-// divides, so distribution cannot perturb a single bit.
+// computed at merge time from these integers, so distribution cannot
+// perturb a single bit.
 type PointResult struct {
 	Index       int              `json:"index"`
 	Cycles      int64            `json:"cycles"`
@@ -175,10 +177,10 @@ func MergePoints(experiment string, rc RunConfig, results []PointResult) (Render
 // RunDecomposed runs a decomposable experiment locally — decompose, run
 // every point through the experiment pool, merge — reporting point
 // progress through the context (see WithPointProgress). It returns
-// ok=false when the experiment has no decomposition. This is the
-// single-node twin of the fabric's distributed path: both funnel through
-// the same Run and Merge, which is what makes "byte-identical to a
-// single-node run" a testable statement rather than a hope.
+// ok=false when the experiment has no decomposition. It is how the
+// registry runs every decomposed sweep on one node, and the fabric's
+// distributed path funnels through the same Run and Merge, so a fleet
+// run and a single-node run produce the same bytes by construction.
 func RunDecomposed(ctx context.Context, experiment string, rc RunConfig) (Renderable, bool, error) {
 	d, ok := decompositions[experiment]
 	if !ok {
@@ -252,12 +254,18 @@ func runPARMVRPoint(ps PointSpec) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
+	return parmvrResult(ps, rr), nil
+}
+
+// parmvrResult reduces a PARMVR call's per-loop results to the point's
+// raw measurements.
+func parmvrResult(ps PointSpec, rr []cascade.Result) PointResult {
 	res := PointResult{Index: ps.Index, Cycles: TotalCycles(rr), Metrics: MergeMetrics(rr)}
 	for _, r := range rr {
 		res.HelperIters += int64(r.HelperIters)
 		res.TotalIters += int64(r.TotalIters)
 	}
-	return res, nil
+	return res
 }
 
 // parmvrPrefix declares a fig2/fig6 point's shared prefix: the dataset
@@ -270,10 +278,10 @@ func parmvrPrefix(ps PointSpec) (PrefixSpec, bool) {
 }
 
 // runPARMVRPointWarm is runPARMVRPoint off a shared prefix: the fork
-// replaces machine.New, the restored space replaces wave5.Build, and the
-// per-loop body is identical — cascade.Run resets caches per loop either
-// way, so the fork of the freshly-constructed machine is observably the
-// freshly-constructed machine.
+// replaces machine.New and the restored space replaces wave5.Build, then
+// RunPARMVR's cold call runs — it resets caches per loop, so the fork of
+// the freshly-constructed machine is observably the freshly-constructed
+// machine.
 func runPARMVRPointWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
@@ -283,33 +291,11 @@ func runPARMVRPointWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
-	results := make([]cascade.Result, 0, len(st.w.Loops))
-	for _, l := range st.w.Loops {
-		var r cascade.Result
-		if strat == Sequential {
-			r = cascade.RunSequential(m, l, true)
-		} else {
-			opts, oerr := cascade.NewOptions(
-				cascade.WithHelper(strat.helper()),
-				cascade.WithSpace(st.w.Space),
-				cascade.WithChunkBytes(ps.ChunkKB*1024),
-			)
-			if oerr != nil {
-				return PointResult{}, oerr
-			}
-			r, err = cascade.Run(m, l, opts)
-			if err != nil {
-				return PointResult{}, err
-			}
-		}
-		results = append(results, r)
+	rr, err := runCall(m, st.w, strat, ps.ChunkKB*1024, false)
+	if err != nil {
+		return PointResult{}, err
 	}
-	res := PointResult{Index: ps.Index, Cycles: TotalCycles(results), Metrics: MergeMetrics(results)}
-	for _, r := range results {
-		res.HelperIters += int64(r.HelperIters)
-		res.TotalIters += int64(r.TotalIters)
-	}
-	return res, nil
+	return parmvrResult(ps, rr), nil
 }
 
 func init() {
@@ -337,9 +323,10 @@ func init() {
 	})
 }
 
-// fig2Points mirrors Fig2's spec construction exactly: one sequential
-// baseline per machine at the preset's full processor count, then the
-// (machine × procs × strategy) sweep in the driver's loop order.
+// fig2Points plans Figure 2: one sequential baseline per machine at the
+// preset's full processor count, then the (machine × procs × strategy)
+// sweep — 2..4 processors on the Pentium Pro, 2..8 on the R10000, both
+// helpers, at the configured chunk budget.
 func fig2Points(rc RunConfig) []PointSpec {
 	chunkKB := rc.ChunkBytes / 1024
 	var specs []PointSpec
@@ -362,10 +349,10 @@ func fig2Points(rc RunConfig) []PointSpec {
 	return specs
 }
 
-// fig2Merge rebuilds Fig2Result with the driver's exact arithmetic:
-// Speedup = baseline cycles / point cycles, HelperCompletion =
-// helper/total iterations — the same integer inputs, the same float64
-// divisions, the same bytes.
+// fig2Merge builds Fig2Result: Speedup = baseline cycles / point
+// cycles, HelperCompletion = helper/total iterations — float64 divisions
+// of the points' raw integers, so the bytes never depend on where the
+// points ran.
 func fig2Merge(rc RunConfig, results []PointResult) (Renderable, error) {
 	machines := Machines()
 	if len(results) != len(fig2Points(rc)) {
@@ -401,9 +388,9 @@ func fig2Merge(rc RunConfig, results []PointResult) (Renderable, error) {
 	return res, nil
 }
 
-// fig6Points mirrors Fig6: one 4-processor sequential baseline per
-// machine at the driver's fixed 64KB chunk parameter, then the
-// (machine × chunk size × strategy) sweep in loop order.
+// fig6Points plans Figure 6: one 4-processor sequential baseline per
+// machine (its 64KB chunk field is unused by the sequential run), then
+// the (machine × chunk size × strategy) sweep on four processors.
 func fig6Points(rc RunConfig) []PointSpec {
 	const procs = 4
 	var specs []PointSpec
@@ -426,7 +413,7 @@ func fig6Points(rc RunConfig) []PointSpec {
 	return specs
 }
 
-// fig6Merge rebuilds Fig6Result from baseline and sweep measurements.
+// fig6Merge builds Fig6Result from baseline and sweep measurements.
 func fig6Merge(rc RunConfig, results []PointResult) (Renderable, error) {
 	machines := Machines()
 	if len(results) != len(fig6Points(rc)) {

@@ -71,7 +71,8 @@ func runDecomposedOverWire(t *testing.T, ctx context.Context, name string, rc Ru
 
 // TestDecomposedFig6MatchesDriver pins the fabric's core identity: the
 // chunk-size sweep decomposed into wire-serialized points and merged
-// back is byte-identical to the monolithic Fig6 driver.
+// back in shuffled order is byte-identical to the registry's single-node
+// run.
 func TestDecomposedFig6MatchesDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
@@ -80,19 +81,15 @@ func TestDecomposedFig6MatchesDriver(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Scale = 0.02
 
-	driver, err := Fig6(ctx, rc.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := renderIndented(t, runRegistered(t, "fig6", rc.Scale))
 	merged := runDecomposedOverWire(t, ctx, "fig6", rc)
-	if got, want := renderIndented(t, merged), renderIndented(t, driver); !bytes.Equal(got, want) {
-		t.Errorf("decomposed fig6 differs from driver:\n got %d bytes\nwant %d bytes", len(got), len(want))
+	if got := renderIndented(t, merged); !bytes.Equal(got, want) {
+		t.Errorf("decomposed fig6 differs from the registry's run:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 }
 
 // TestDecomposedFig2MatchesDriver is the fig2 twin, and additionally
-// checks RunDecomposed (the single-node driver the fabric's golden
-// comparisons use) and the point-progress reporting contract.
+// checks the point-progress reporting contract of a single-node run.
 func TestDecomposedFig2MatchesDriver(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second sweep")
@@ -100,37 +97,34 @@ func TestDecomposedFig2MatchesDriver(t *testing.T) {
 	rc := DefaultRunConfig()
 	rc.Scale = 0.02
 
+	// Pool workers report concurrently, so calls may land out of order:
+	// keep the highest count seen.
 	var mu sync.Mutex
-	var lastDone, lastTotal int
+	var maxDone, lastTotal int
 	ctx := WithPointProgress(context.Background(), func(done, total int) {
 		mu.Lock()
-		lastDone, lastTotal = done, total
+		maxDone = max(maxDone, done)
+		lastTotal = total
 		mu.Unlock()
 	})
 
-	driver, err := Fig2(ctx, rc.Params(), rc.ChunkBytes)
+	e, _ := Lookup("fig2")
+	local, err := e.Run(ctx, rc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderIndented(t, driver)
+	want := renderIndented(t, local)
 
-	merged := runDecomposedOverWire(t, ctx, "fig2", rc)
+	merged := runDecomposedOverWire(t, context.Background(), "fig2", rc)
 	if got := renderIndented(t, merged); !bytes.Equal(got, want) {
-		t.Errorf("decomposed fig2 differs from driver:\n got %d bytes\nwant %d bytes", len(got), len(want))
-	}
-
-	local, ok, err := RunDecomposed(ctx, "fig2", rc)
-	if !ok || err != nil {
-		t.Fatalf("RunDecomposed = ok=%v err=%v", ok, err)
-	}
-	if got := renderIndented(t, local); !bytes.Equal(got, want) {
-		t.Error("RunDecomposed fig2 differs from driver")
+		t.Errorf("decomposed fig2 differs from the registry's run:\n got %d bytes\nwant %d bytes", len(got), len(want))
 	}
 
 	mu.Lock()
 	defer mu.Unlock()
-	if lastTotal == 0 || lastDone != lastTotal {
-		t.Errorf("point progress never completed a phase: done=%d total=%d", lastDone, lastTotal)
+	specs, _ := Decompose("fig2", rc)
+	if lastTotal != len(specs) || maxDone != lastTotal {
+		t.Errorf("point progress reached done=%d total=%d, want %d of %d", maxDone, lastTotal, len(specs), len(specs))
 	}
 }
 

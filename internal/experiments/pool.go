@@ -16,8 +16,9 @@ type pointProgressKey struct{}
 // WithPointProgress returns a context carrying fn. Every sweep that runs
 // through parallelFor calls fn as points complete, with the number of
 // completed points and the sweep's total — no driver changes required.
-// An experiment with several sweep phases (baselines, then points)
-// reports each phase's counts in turn. The serving layer installs a
+// A decomposed sweep (RunDecomposed: fig2, fig6, warmsweep) is one phase
+// over all its points; an experiment with several sweep phases (fig7's
+// baselines, then its points) reports each phase's counts in turn. The serving layer installs a
 // reporter here to expose points_done/points_total keep-alive progress
 // on long-polled jobs. fn must be safe for concurrent calls.
 func WithPointProgress(ctx context.Context, fn func(done, total int)) context.Context {

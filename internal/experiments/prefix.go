@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"sync"
 
 	"repro/internal/machine"
@@ -132,6 +133,10 @@ type PrefixCache struct {
 	entries map[string]*prefixEntry
 	order   []string // LRU order, least recent first
 	stats   PrefixCacheStats
+
+	// buildHook, when set, runs at the start of every build, on the
+	// building caller's goroutine (a test seam).
+	buildHook func()
 }
 
 type prefixEntry struct {
@@ -166,6 +171,11 @@ func (c *PrefixCache) Stats() PrefixCacheStats {
 
 // state returns the built PrefixState for spec, building it on first use
 // (single-flight per key) and recording the LRU touch.
+//
+// The first caller builds under its own ctx, so its cancellation or
+// deadline can abort the build. That failure belongs to the builder
+// alone: a waiter whose ctx is still live starts a build of its own
+// instead of returning the builder's context error.
 func (c *PrefixCache) state(ctx context.Context, spec PrefixSpec) (*PrefixState, error) {
 	cfg, err := machineByName(spec.Machine)
 	if err != nil {
@@ -176,7 +186,24 @@ func (c *PrefixCache) state(ctx context.Context, spec PrefixSpec) (*PrefixState,
 	if err != nil {
 		return nil, err
 	}
+	for {
+		e := c.entry(key)
+		e.once.Do(func() { c.build(ctx, key, e, spec) })
+		if errors.Is(e.err, context.Canceled) || errors.Is(e.err, context.DeadlineExceeded) {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			continue // the builder's context failed, not ours
+		}
+		return e.st, e.err
+	}
+}
+
+// entry returns key's entry, creating it on a miss, and records the
+// lookup and the LRU touch.
+func (c *PrefixCache) entry(key string) *prefixEntry {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
 		e = &prefixEntry{}
@@ -186,22 +213,28 @@ func (c *PrefixCache) state(ctx context.Context, spec PrefixSpec) (*PrefixState,
 		c.stats.Hits++
 	}
 	c.touch(key)
-	c.mu.Unlock()
+	return e
+}
 
-	e.once.Do(func() {
-		e.st, e.err = BuildPrefix(ctx, spec)
-		if e.err != nil {
-			c.mu.Lock()
+// build fills e, charging its bytes on success. A failed entry leaves
+// the cache, so the next request for key builds afresh.
+func (c *PrefixCache) build(ctx context.Context, key string, e *prefixEntry, spec PrefixSpec) {
+	if c.buildHook != nil {
+		c.buildHook()
+	}
+	st, err := BuildPrefix(ctx, spec)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	// Under c.mu: evictLocked reads e.st of entries still building.
+	e.st, e.err = st, err
+	if err != nil {
+		if c.entries[key] == e {
 			c.drop(key)
-			c.mu.Unlock()
-			return
 		}
-		c.mu.Lock()
-		c.used += e.st.MemBytes()
-		c.evictLocked(key)
-		c.mu.Unlock()
-	})
-	return e.st, e.err
+		return
+	}
+	c.used += e.st.MemBytes()
+	c.evictLocked(key)
 }
 
 // touch moves key to the most-recent end of the LRU order (appending it

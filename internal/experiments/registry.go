@@ -160,7 +160,7 @@ func registry() []Experiment {
 			Description: "overall PARMVR speedup vs processor count (Figure 2)",
 			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
 				rc.progress("fig2: PARMVR processor sweep (scale %.2f)...", rc.Scale)
-				return Fig2(ctx, rc.Params(), rc.ChunkBytes)
+				return runDecomposed(ctx, "fig2", rc)
 			},
 		},
 		{
@@ -183,7 +183,7 @@ func registry() []Experiment {
 			Description: "effect of chunk size on PARMVR speedup (Figure 6)",
 			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
 				rc.progress("fig6: chunk-size sweep (scale %.2f)...", rc.Scale)
-				return Fig6(ctx, rc.Params())
+				return runDecomposed(ctx, "fig6", rc)
 			},
 		},
 		{
@@ -199,10 +199,7 @@ func registry() []Experiment {
 			Description: "warm-start sweep: every point forked from one shared warm prefix",
 			Run: func(ctx context.Context, rc RunConfig) (Renderable, error) {
 				rc.progress("warmsweep: fork-from-prefix strategy/chunk sweep (scale %.2f)...", rc.Scale)
-				return perMachine(func(i int) (Renderable, error) {
-					return WarmSweep(ctx, Machines()[i], rc.Params(),
-						DefaultWarmupCalls, DefaultWarmPoints(rc.ChunkBytes))
-				})
+				return runDecomposed(ctx, "warmsweep", rc)
 			},
 		},
 		{
@@ -296,6 +293,13 @@ func breakdownExperiment(fig int) func(context.Context, RunConfig) (Renderable, 
 			return breakdownView{b, fig}, nil
 		})
 	}
+}
+
+// runDecomposed runs a sweep whose only implementation is its point
+// decomposition.
+func runDecomposed(ctx context.Context, name string, rc RunConfig) (Renderable, error) {
+	r, _, err := RunDecomposed(ctx, name, rc)
+	return r, err
 }
 
 // perMachine collects one result per paper machine into a Group.

@@ -62,9 +62,9 @@ type WarmRow struct {
 }
 
 // WarmSweepResult is a warm-started strategy/chunk sweep on one machine:
-// every row was forked from the same copy-on-write snapshot taken after
-// the shared sequential warm-up prefix, so the prefix simulated once no
-// matter how many points the sweep has.
+// every row was forked from a copy-on-write snapshot taken after the
+// same sequential warm-up prefix (PrefixKey), so any runner holding that
+// snapshot can serve every row from one simulation of the prefix.
 type WarmSweepResult struct {
 	Machine     string    `json:"machine"`
 	Procs       int       `json:"procs"`
@@ -99,90 +99,12 @@ func prefixKeyOf(cfg machine.Config, p wave5.Params, warmupCalls int, distribute
 
 // PrefixKey content-addresses a warm-sweep prefix: the machine
 // configuration, the dataset parameters, and the warm-up call count
-// (distribution included — WarmSweep always models the surrounding
+// (distribution included — the warm sweep always models the surrounding
 // parallel phases). Two sweeps with equal prefix keys may share one
 // snapshot — the prefix is strategy-independent (sequential calls), so
 // every tail is reachable from it.
 func PrefixKey(cfg machine.Config, p wave5.Params, warmupCalls int) (string, error) {
 	return prefixKeyOf(cfg, p, warmupCalls, true)
-}
-
-// WarmSweep measures every point against one shared warm prefix. The
-// prefix — data distribution plus warmupCalls sequential full-PARMVR
-// calls — is simulated once; the machine is then snapshotted
-// (copy-on-write) and every point runs on a fork with the address space
-// rewound to the snapshot instant. Each point's measured call is a
-// steady-state call (KeepState), exactly what a fresh machine running
-// the same prefix under that point's knobs would have measured — the
-// differential tests assert bit-identity.
-//
-// The prefix uses sequential calls deliberately: they touch the same
-// arrays every strategy's call does, so one prefix serves strategy AND
-// chunk-size divergence, which is what makes the fork amortization pay.
-func WarmSweep(ctx context.Context, cfg machine.Config, p wave5.Params, warmupCalls int, points []WarmPoint) (*WarmSweepResult, error) {
-	if warmupCalls < 0 {
-		return nil, fmt.Errorf("warmsweep: warmupCalls = %d", warmupCalls)
-	}
-	w, err := wave5.Build(p)
-	if err != nil {
-		return nil, err
-	}
-	m, err := machine.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key, err := PrefixKey(cfg, p, warmupCalls)
-	if err != nil {
-		return nil, err
-	}
-
-	if err := runWarmPrefix(ctx, m, w, warmupCalls); err != nil {
-		return nil, err
-	}
-
-	snap, err := m.Snapshot()
-	if err != nil {
-		return nil, err
-	}
-	spaceCk := w.Space.Checkpoint()
-
-	res := &WarmSweepResult{
-		Machine:     cfg.Name,
-		Procs:       cfg.Procs,
-		WarmupCalls: warmupCalls,
-		PrefixKey:   key,
-	}
-	var base int64
-	for _, pt := range points {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		fork, err := snap.Fork()
-		if err != nil {
-			return nil, err
-		}
-		w.Space.RestoreState(spaceCk)
-		results, err := runWarmPoint(fork, w, pt)
-		if err != nil {
-			return nil, err
-		}
-		cycles := TotalCycles(results)
-		if pt.Strat == Sequential && base == 0 {
-			base = cycles
-		}
-		res.Rows = append(res.Rows, WarmRow{
-			Point:   pt,
-			Cycles:  cycles,
-			Shared:  len(fork.SharedComponents()),
-			Metrics: MergeMetrics(results),
-		})
-	}
-	if base > 0 {
-		for i := range res.Rows {
-			res.Rows[i].Speedup = float64(base) / float64(res.Rows[i].Cycles)
-		}
-	}
-	return res, nil
 }
 
 // warmsweepPoints decomposes the warm sweep: per machine, every default
@@ -215,9 +137,11 @@ func warmsweepPrefix(ps PointSpec) (PrefixSpec, bool) {
 	}, true
 }
 
-// warmsweepRunWarm measures one warm point off a built prefix, exactly
-// as WarmSweep's loop body does: fork, rewind the space, run the
-// steady-state call, count the still-shared components.
+// warmsweepRunWarm measures one warm point off a built prefix: fork,
+// rewind the space, run the steady-state call, count the still-shared
+// components. Each measured call is exactly what a fresh machine running
+// the same prefix under the point's knobs would measure (the
+// differential tests assert bit-identity).
 func warmsweepRunWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	strat, err := ParseStrategy(ps.Strategy)
 	if err != nil {
@@ -227,7 +151,7 @@ func warmsweepRunWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	if err != nil {
 		return PointResult{}, err
 	}
-	results, err := runWarmPoint(m, st.w, WarmPoint{Strat: strat, ChunkBytes: ps.ChunkBytes})
+	results, err := runCall(m, st.w, strat, ps.ChunkBytes, true)
 	if err != nil {
 		return PointResult{}, err
 	}
@@ -237,9 +161,8 @@ func warmsweepRunWarm(st *PrefixState, ps PointSpec) (PointResult, error) {
 	}, nil
 }
 
-// warmsweepMerge rebuilds the Group of per-machine WarmSweepResults with
-// WarmSweep's exact arithmetic: rows in point order, Speedup from the
-// first sequential row's cycles.
+// warmsweepMerge assembles the Group of per-machine WarmSweepResults:
+// rows in point order, Speedup from the first sequential row's cycles.
 func warmsweepMerge(rc RunConfig, results []PointResult) (Renderable, error) {
 	machines := Machines()
 	points := DefaultWarmPoints(rc.ChunkBytes)
@@ -302,15 +225,12 @@ func init() {
 
 // runWarmPrefix simulates a sweep's shared prefix on m: the parallel
 // phases around the calls distribute the data dirty across caches, then
-// the warm-up calls run sequentially.
+// the warm-up calls run sequentially. The warm-up calls are sequential
+// deliberately: they touch the same arrays every strategy's call does,
+// so one prefix serves strategy AND chunk-size divergence, which is what
+// makes forking every point off one snapshot pay.
 func runWarmPrefix(ctx context.Context, m *machine.Machine, w *wave5.PARMVR, warmupCalls int) error {
-	var ranges []machine.AddrRange
-	for _, l := range w.Loops {
-		for _, ar := range l.AddrRanges() {
-			ranges = append(ranges, machine.AddrRange{Base: ar.Base, Bytes: ar.Bytes})
-		}
-	}
-	m.DistributeLines(ranges)
+	distribute(m, w)
 	for c := 0; c < warmupCalls; c++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -322,36 +242,10 @@ func runWarmPrefix(ctx context.Context, m *machine.Machine, w *wave5.PARMVR, war
 	return nil
 }
 
-// runWarmPoint runs one steady-state full-PARMVR call on a warm fork.
-func runWarmPoint(m *machine.Machine, w *wave5.PARMVR, pt WarmPoint) ([]cascade.Result, error) {
-	results := make([]cascade.Result, 0, len(w.Loops))
-	for _, l := range w.Loops {
-		if pt.Strat == Sequential {
-			results = append(results, cascade.RunSequentialWarm(m, l))
-			continue
-		}
-		opts, err := cascade.NewOptions(
-			cascade.WithHelper(pt.Strat.helper()),
-			cascade.WithSpace(w.Space),
-			cascade.WithChunkBytes(pt.ChunkBytes),
-			cascade.WithKeepState(true), // the warm prefix is the state
-		)
-		if err != nil {
-			return nil, err
-		}
-		r, err := cascade.Run(m, l, opts)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	return results, nil
-}
-
 // Render writes the sweep as an aligned table.
 func (r *WarmSweepResult) Render(w io.Writer) {
 	t := report.NewTable(
-		fmt.Sprintf("Warm-start sweep — %s, %d procs. %d sequential warm-up calls simulated once, every point forked (prefix %s...)",
+		fmt.Sprintf("Warm-start sweep — %s, %d procs. %d sequential warm-up calls, every point forked from the prefix snapshot (prefix %s...)",
 			r.Machine, r.Procs, r.WarmupCalls, r.PrefixKey[:12]),
 		"Strategy", "Chunk", "Cycles", "Speedup", "Shared comps")
 	for _, row := range r.Rows {

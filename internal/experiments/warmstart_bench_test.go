@@ -10,12 +10,13 @@ import (
 
 // Snapshot benchmarks measure what copy-on-write warm starts buy in host
 // wall-clock time. A warm-started sweep simulates its shared prefix
-// (data distribution + sequential warm-up calls) once and forks every
-// point from the snapshot; the fresh baseline re-simulates the whole
-// prefix for every point. The forked rows are bit-identical to the
-// fresh ones (TestWarmSweepBitIdentical and the snapshot differentials
-// in internal/cascade), so the ratio is pure simulator speedup from
-// prefix amortization. BENCH_snapshot.json records representative runs.
+// (data distribution + sequential warm-up calls) once with BuildPrefix
+// and forks every point from the snapshot; the fresh baseline
+// re-simulates the whole prefix for every point. The forked points are
+// bit-identical to the fresh ones (TestWarmSweepBitIdentical and the
+// snapshot differentials in internal/cascade), so the ratio is pure
+// simulator speedup from prefix amortization. BENCH_snapshot.json
+// records representative runs.
 
 // benchWarmPoints is a prefix-heavy chunk-size sweep: nine points — one
 // sequential anchor plus both cascaded strategies at four chunk budgets
@@ -30,14 +31,14 @@ func benchWarmPoints() []WarmPoint {
 	return pts
 }
 
-// benchWarmParams follows the repo bench convention: short mode (the CI
+// benchWarmScale follows the repo bench convention: short mode (the CI
 // bench-smoke job) shrinks the dataset — there the point is keeping the
 // benchmark paths compiling and running, not producing numbers.
-func benchWarmParams() wave5.Params {
+func benchWarmScale() float64 {
 	if testing.Short() {
-		return wave5.DefaultParams().Scaled(0.01)
+		return 0.01
 	}
-	return wave5.DefaultParams().Scaled(0.05)
+	return 0.05
 }
 
 // freshSweepPoint measures one point the expensive way: a fresh machine
@@ -55,20 +56,44 @@ func freshSweepPoint(b *testing.B, cfg machine.Config, p wave5.Params, warmupCal
 	if err := runWarmPrefix(context.Background(), m, w, warmupCalls); err != nil {
 		b.Fatal(err)
 	}
-	results, err := runWarmPoint(m, w, pt)
+	results, err := runCall(m, w, pt.Strat, pt.ChunkBytes, true)
 	if err != nil {
 		b.Fatal(err)
 	}
 	return TotalCycles(results)
 }
 
+// warmSweep measures points the cheap way: the shared prefix is
+// simulated once (BuildPrefix) and every point runs its steady-state
+// call on a fork of the prefix snapshot.
+func warmSweep(b *testing.B, cfg machine.Config, scale float64, points []WarmPoint) {
+	b.Helper()
+	st, err := BuildPrefix(context.Background(), PrefixSpec{
+		Machine: cfg.Name, Procs: cfg.Procs, Scale: scale,
+		WarmupCalls: DefaultWarmupCalls, Distribute: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, pt := range points {
+		if _, err := warmsweepRunWarm(st, PointSpec{
+			Experiment: "warmsweep", Index: i, Machine: cfg.Name, Procs: cfg.Procs,
+			Strategy: pt.Strat.Token(), ChunkBytes: pt.ChunkBytes,
+			Scale: scale, Warmup: DefaultWarmupCalls,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkSnapshotChunkSweep compares a nine-point chunk-size sweep
-// under the two drivers: "fresh" re-simulates the shared prefix for
+// two ways: "fresh" re-simulates the shared prefix for
 // every point, "warm" simulates it once and forks. One prefix group, so
 // the warm variant's prefix cost is amortized across all nine points.
 func BenchmarkSnapshotChunkSweep(b *testing.B) {
 	cfg := machine.PentiumPro(4)
-	p := benchWarmParams()
+	scale := benchWarmScale()
+	p := wave5.DefaultParams().Scaled(scale)
 	points := benchWarmPoints()
 
 	b.Run("fresh", func(b *testing.B) {
@@ -80,9 +105,7 @@ func BenchmarkSnapshotChunkSweep(b *testing.B) {
 	})
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := WarmSweep(context.Background(), cfg, p, DefaultWarmupCalls, points); err != nil {
-				b.Fatal(err)
-			}
+			warmSweep(b, cfg, scale, points)
 		}
 	})
 }
@@ -93,7 +116,8 @@ func BenchmarkSnapshotChunkSweep(b *testing.B) {
 // only (a fork cannot change the processor count), so its ceiling is
 // lower than the chunk sweep's — this benchmark records that honestly.
 func BenchmarkSnapshotProcSweep(b *testing.B) {
-	p := benchWarmParams()
+	scale := benchWarmScale()
+	p := wave5.DefaultParams().Scaled(scale)
 	procs := []int{2, 3, 4}
 	points := []WarmPoint{
 		{Strat: Sequential},
@@ -113,9 +137,7 @@ func BenchmarkSnapshotProcSweep(b *testing.B) {
 	b.Run("warm", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			for _, np := range procs {
-				if _, err := WarmSweep(context.Background(), machine.PentiumPro(np), p, DefaultWarmupCalls, points); err != nil {
-					b.Fatal(err)
-				}
+				warmSweep(b, machine.PentiumPro(np), scale, points)
 			}
 		}
 	})

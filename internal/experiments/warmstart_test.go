@@ -10,16 +10,18 @@ import (
 	"repro/internal/wave5"
 )
 
-// warmTestParams shrinks the dataset so the differential finishes fast
+// warmTestScale shrinks the dataset so the differential finishes fast
 // while every loop still has several chunks.
+const warmTestScale = 0.02
+
 func warmTestParams() wave5.Params {
-	return wave5.DefaultParams().Scaled(0.02)
+	return wave5.DefaultParams().Scaled(warmTestScale)
 }
 
 // runWarmPointFresh measures a point the expensive way: a fresh machine
 // runs the whole prefix (distribution + sequential warm-up calls) itself
-// and then the point's steady-state call. This is the ground truth the
-// warm sweep's forked rows must match bit for bit.
+// and then the point's steady-state call. This is the ground truth a
+// point forked off a prefix snapshot must match bit for bit.
 func runWarmPointFresh(t *testing.T, cfg machine.Config, p wave5.Params, warmupCalls int, pt WarmPoint) []cascade.Result {
 	t.Helper()
 	w, err := wave5.Build(p)
@@ -33,42 +35,47 @@ func runWarmPointFresh(t *testing.T, cfg machine.Config, p wave5.Params, warmupC
 	if err := runWarmPrefix(context.Background(), m, w, warmupCalls); err != nil {
 		t.Fatal(err)
 	}
-	results, err := runWarmPoint(m, w, pt)
+	results, err := runCall(m, w, pt.Strat, pt.ChunkBytes, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return results
 }
 
-// TestWarmSweepBitIdentical is the sweep-level differential: every row of
-// a warm-started sweep equals a fresh machine running the same prefix and
-// point from scratch — cycles and full metrics snapshot.
+// TestWarmSweepBitIdentical is the fork-equals-fresh differential: every
+// warm point run off one built prefix (BuildPrefix, then a fork per
+// point) equals a fresh machine running the same prefix and point from
+// scratch — cycles and full metrics snapshot.
 func TestWarmSweepBitIdentical(t *testing.T) {
 	cfg := machine.PentiumPro(3)
 	p := warmTestParams()
-	points := DefaultWarmPoints(16 * 1024)
-
-	res, err := WarmSweep(context.Background(), cfg, p, 1, points)
+	const warmup = 1
+	st, err := BuildPrefix(context.Background(), PrefixSpec{
+		Machine: cfg.Name, Procs: cfg.Procs, Scale: warmTestScale,
+		WarmupCalls: warmup, Distribute: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != len(points) {
-		t.Fatalf("rows = %d, want %d", len(res.Rows), len(points))
+	if want, err := PrefixKey(cfg, p, warmup); err != nil || st.Key != want {
+		t.Errorf("prefix key = %q, want %q (%v)", st.Key, want, err)
 	}
-	for i, row := range res.Rows {
-		fresh := runWarmPointFresh(t, cfg, p, 1, points[i])
-		if got, want := row.Cycles, TotalCycles(fresh); got != want {
-			t.Errorf("point %+v: warm cycles %d != fresh %d", points[i], got, want)
+	for i, pt := range DefaultWarmPoints(16 * 1024) {
+		r, err := warmsweepRunWarm(st, PointSpec{
+			Experiment: "warmsweep", Index: i, Machine: cfg.Name, Procs: cfg.Procs,
+			Strategy: pt.Strat.Token(), ChunkBytes: pt.ChunkBytes,
+			Scale: warmTestScale, Warmup: warmup,
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(row.Metrics, MergeMetrics(fresh)) {
-			t.Errorf("point %+v: warm metrics differ from fresh", points[i])
+		fresh := runWarmPointFresh(t, cfg, p, warmup, pt)
+		if got, want := r.Cycles, TotalCycles(fresh); got != want {
+			t.Errorf("point %+v: warm cycles %d != fresh %d", pt, got, want)
 		}
-	}
-	if res.Rows[0].Speedup != 1.0 {
-		t.Errorf("sequential row speedup = %v, want 1.0", res.Rows[0].Speedup)
-	}
-	if res.PrefixKey == "" {
-		t.Error("empty prefix key")
+		if !reflect.DeepEqual(r.Metrics, MergeMetrics(fresh)) {
+			t.Errorf("point %+v: warm metrics differ from fresh", pt)
+		}
 	}
 }
 

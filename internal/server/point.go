@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime/debug"
 	"time"
@@ -56,6 +57,16 @@ type pointRequestItem struct {
 	Point *experiments.PointSpec `json:"point"`
 }
 
+// decodePointRequest decodes a POST /v1/points body strictly: a field
+// the request shape does not name is an error, not silently dropped.
+func decodePointRequest(body io.Reader) (pointRequest, error) {
+	var req pointRequest
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&req)
+	return req, err
+}
+
 // pointRetryAfter is the Retry-After hint on shed points: short,
 // because point execution is fast relative to jobs and the coordinator
 // re-balances on its own clock anyway.
@@ -72,10 +83,8 @@ func (s *Server) handlePoint(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("point execution requires %s %s", VersionHeader, APIVersion))
 		return
 	}
-	var req pointRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	req, err := decodePointRequest(r.Body)
+	if err != nil {
 		WriteEnvelopeError(w, http.StatusBadRequest, CodeBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
